@@ -102,5 +102,7 @@ pub use proc_ctx::ProcCtx;
 pub use select::{Guard, GuardView, Selected};
 pub use shard::{hash_values, spread, ShardEntryId, ShardedBuilder, ShardedHandle, ShardedStats};
 pub use stats::ObjectStats;
-pub use supervise::{AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy};
+pub use supervise::{
+    retry, AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy, Target,
+};
 pub use value::{check_types, check_types_lazy, ChanValue, Ty, ValVec, Value, INLINE_VALS};

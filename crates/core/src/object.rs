@@ -59,7 +59,7 @@ use crate::manager::ManagerCtx;
 use crate::pool::{Job, Pool, PoolMode};
 use crate::proc_ctx::ProcCtx;
 use crate::stats::ObjectStats;
-use crate::supervise::{AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy};
+use crate::supervise::{retry, AdmissionPolicy, OnRestart, RestartPolicy, RetryPolicy, Target};
 use crate::value::{check_types_lazy, Ty, ValVec};
 
 /// The manager process body. It runs once, typically an endless
@@ -579,6 +579,15 @@ impl ObjectInner {
         }
     }
 
+    /// Acknowledge a cancelled cell its holder took off the protocol, and
+    /// recycle it.
+    fn reap(&self, call: Arc<CallCell>) {
+        if call.claim_tombstone() {
+            self.stats.on_reap();
+        }
+        self.release_cell(call);
+    }
+
     /// Complete a call: deliver the result and unpark the caller — unless
     /// the caller has not announced a park (`waiting` false), in which
     /// case it is still in its spin/yield phase and will pick the result
@@ -882,10 +891,7 @@ impl ObjectInner {
                                     .in_ring
                                     .fetch_sub(1, Ordering::SeqCst);
                                 if victim.is_cancelled() {
-                                    if victim.claim_tombstone() {
-                                        self.stats.on_reap();
-                                    }
-                                    self.release_cell(victim);
+                                    self.reap(victim);
                                 } else {
                                     self.stats.on_shed();
                                     self.complete(&victim, Err(self.overloaded_err()));
@@ -939,8 +945,7 @@ impl ObjectInner {
     /// fails the instant ownership is lost, falling back to the ring.
     fn submit_call(&self, entry: usize, call: &Arc<CallCell>) -> Result<()> {
         let me = call.caller.as_u64();
-        if self.entries[entry].fast_lane && self.lane_owner.is(me) && self.lane_owner.begin_push(me)
-        {
+        if self.lane_owner.is(me) && self.lane_owner.begin_push(me) {
             let sync = &self.estates[entry];
             sync.in_ring.fetch_add(1, Ordering::SeqCst);
             match self.lane.push((entry as u32, Arc::clone(call))) {
@@ -973,14 +978,9 @@ impl ObjectInner {
         self.push_intake(entry, call)
     }
 
-    /// The full blocking call protocol: validate, attach or queue, wait
-    /// for the reply.
-    pub(crate) fn call_protocol(
-        self: &Arc<Self>,
-        entry: usize,
-        args: ValVec,
-        external: bool,
-    ) -> Result<ValVec> {
+    /// Admission checks shared by both call paths: visibility, argument
+    /// types, closed and poisoned state. Returns the call's start time.
+    fn admit(&self, entry: usize, args: &ValVec, external: bool) -> Result<u64> {
         let def = &self.entries[entry];
         if external && def.local {
             return Err(AlpsError::LocalEntryCalled {
@@ -988,7 +988,7 @@ impl ObjectInner {
                 entry: def.name.clone(),
             });
         }
-        check_types_lazy(&def.params, &args, || {
+        check_types_lazy(&def.params, args, || {
             format!("call {}.{}", self.name, def.name)
         })?;
         if self.is_closed() {
@@ -999,83 +999,94 @@ impl ObjectInner {
             return Err(self.poison_reject());
         }
         self.stats.on_call();
-        let t_call = self.rt.now();
+        Ok(self.rt.now())
+    }
 
-        // Fast path: an implicit (non-intercepted) entry with a free slot
-        // runs its body inline in this process — the caller would block
-        // for the result anyway, so this is observationally the same
-        // rendezvous minus the pool hand-off and two park/unpark pairs,
-        // and it touches no heap at all.
-        if def.intercept.is_none() {
-            let claimed = {
-                let mut es = self.estates[entry].st.lock();
-                if self.is_closed() {
-                    return Err(self.closed_err());
-                }
-                match es.slots.iter().position(|s| matches!(s, Slot::Free)) {
-                    Some(i) => {
-                        es.slots[i] = Slot::InlineBusy;
-                        Some(i)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(i) = claimed {
-                return self.run_inline(entry, i, args, t_call);
-            }
+    /// Claim a free slot of the implicit `entry` for an inline run.
+    fn claim_inline(&self, entry: usize) -> Result<Option<usize>> {
+        let mut es = self.estates[entry].st.lock();
+        if self.is_closed() {
+            return Err(self.closed_err());
         }
-
-        // Slow path: rendezvous through a (recycled) call cell.
-        let call = self.acquire_cell(args, self.rt.current(), t_call);
-
-        if def.intercept.is_some() {
-            // Intercepted entries submit through the lock-free intake
-            // ring; the manager drains it in batches. Only the push that
-            // flips the ring empty→non-empty notifies — that producer is
-            // the one the (possibly parked) manager is owed a wakeup by.
-            if self.rt.fault_point("intake_push") {
-                // Injected lost submission: the cell is never published.
-                // A deadline-bounded caller recovers via Timeout; a plain
-                // caller hangs — in simulation, as a detected deadlock.
-                let r = self.wait_for_reply(&call, true);
-                self.release_cell(call);
-                return r;
-            }
-            // Commit point: the next step publishes this call into the
-            // lane/ring, racing the manager's drain. No locks held.
-            self.rt.sim_point(CommitPoint::IntakePush);
-            if let Err(e) = self.submit_call(entry, &call) {
-                self.release_cell(call);
-                return Err(e);
-            }
-            // Shutdown may have raced the push: its sweep can miss a slot
-            // whose publish was still in this core's store buffer when it
-            // popped. The fence orders our publish before the load below,
-            // so either shutdown's sweep sees our item, or we see
-            // `closed` here and sweep it (or a classified victim) out
-            // ourselves.
-            std::sync::atomic::fence(Ordering::SeqCst);
-            if self.is_closed() {
-                self.sweep_intake();
-            }
-            let r = self.wait_for_reply(&call, true);
-            self.release_cell(call);
-            return r;
+        let free = es.slots.iter().position(|s| matches!(s, Slot::Free));
+        if let Some(i) = free {
+            es.slots[i] = Slot::InlineBusy;
         }
+        Ok(free)
+    }
 
-        // Implicit entry, all slots busy: queue directly under the entry
-        // lock (no manager exists to drain a ring for us).
+    /// Publish an intercepted call into the lane or ring. On `Err` the
+    /// call was refused and never published.
+    fn publish(&self, entry: usize, call: &Arc<CallCell>) -> Result<()> {
+        if self.rt.fault_point("intake_push") {
+            // Injected lost submission: the cell is never published.
+            // A deadline-bounded caller recovers via Timeout; a plain
+            // caller hangs — in simulation, as a detected deadlock.
+            return Ok(());
+        }
+        // Commit point: the next step publishes this call into the
+        // lane/ring, racing the manager's drain. No locks held.
+        self.rt.sim_point(CommitPoint::IntakePush);
+        self.submit_call(entry, call)?;
+        // Shutdown may have raced the push: its sweep can miss a slot
+        // whose publish was still in this core's store buffer when it
+        // popped. The fence orders our publish before the load below,
+        // so either shutdown's sweep sees our item, or we see `closed`
+        // here and sweep it (or a classified victim) out ourselves.
+        std::sync::atomic::fence(Ordering::SeqCst);
+        if self.is_closed() {
+            self.sweep_intake();
+        }
+        Ok(())
+    }
+
+    /// Attach or queue an implicit call that found every slot busy,
+    /// directly under the entry lock (no manager exists to drain a ring
+    /// for it).
+    fn queue_implicit(self: &Arc<Self>, entry: usize, call: &Arc<CallCell>) -> Result<()> {
         let dispatch = {
             let mut es = self.estates[entry].st.lock();
             if self.is_closed() {
                 return Err(self.closed_err());
             }
-            self.attach_or_queue(&mut es, entry, Arc::clone(&call))
+            self.attach_or_queue(&mut es, entry, Arc::clone(call))
         };
         if let Some((i, params)) = dispatch {
             self.dispatch_body(entry, i, params);
         }
-        let r = self.wait_for_reply(&call, false);
+        Ok(())
+    }
+
+    /// The full blocking call protocol: validate, attach or queue, wait
+    /// for the reply.
+    pub(crate) fn call_protocol(
+        self: &Arc<Self>,
+        entry: usize,
+        args: ValVec,
+        external: bool,
+    ) -> Result<ValVec> {
+        let t_call = self.admit(entry, &args, external)?;
+        let intercepted = self.entries[entry].intercept.is_some();
+        // Fast path: an implicit (non-intercepted) entry with a free slot
+        // runs its body inline in this process — the caller would block
+        // for the result anyway, so this is observationally the same
+        // rendezvous minus the pool hand-off and two park/unpark pairs,
+        // and it touches no heap at all.
+        if !intercepted {
+            if let Some(i) = self.claim_inline(entry)? {
+                return self.run_inline(entry, i, args, t_call);
+            }
+        }
+        // Slow path: rendezvous through a (recycled) call cell.
+        // Intercepted entries submit through the lock-free intake ring,
+        // which the manager drains in batches.
+        let call = self.acquire_cell(args, self.rt.current(), t_call);
+        let r = if intercepted {
+            self.publish(entry, &call)
+        } else {
+            self.queue_implicit(entry, &call)
+        }
+        .and_then(|()| self.wait_for_reply(&call, intercepted));
         self.release_cell(call);
         r
     }
@@ -1144,83 +1155,24 @@ impl ObjectInner {
         external: bool,
         ticks: u64,
     ) -> Result<ValVec> {
-        let def = &self.entries[entry];
-        if external && def.local {
-            return Err(AlpsError::LocalEntryCalled {
-                object: self.name.clone(),
-                entry: def.name.clone(),
-            });
-        }
-        check_types_lazy(&def.params, &args, || {
-            format!("call {}.{}", self.name, def.name)
-        })?;
-        if self.is_closed() {
-            return Err(self.closed_err());
-        }
-        if self.is_poisoned() {
-            self.stats.on_poison_reject();
-            return Err(self.poison_reject());
-        }
-        self.stats.on_call();
-        let t_call = self.rt.now();
+        let t_call = self.admit(entry, &args, external)?;
         let deadline = t_call.saturating_add(ticks);
-
-        if def.intercept.is_none() {
-            // Inline fast path: once the body starts, it runs to
-            // completion in this very process — the deadline bounds
-            // *waiting*, never execution already underway.
-            let claimed = {
-                let mut es = self.estates[entry].st.lock();
-                if self.is_closed() {
-                    return Err(self.closed_err());
-                }
-                match es.slots.iter().position(|s| matches!(s, Slot::Free)) {
-                    Some(i) => {
-                        es.slots[i] = Slot::InlineBusy;
-                        Some(i)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(i) = claimed {
+        let intercepted = self.entries[entry].intercept.is_some();
+        // Inline fast path: once the body starts, it runs to completion
+        // in this very process — the deadline bounds *waiting*, never
+        // execution already underway.
+        if !intercepted {
+            if let Some(i) = self.claim_inline(entry)? {
                 return self.run_inline(entry, i, args, t_call);
             }
-            let call = self.acquire_cell(args, self.rt.current(), t_call);
-            let dispatch = {
-                let mut es = self.estates[entry].st.lock();
-                if self.is_closed() {
-                    return Err(self.closed_err());
-                }
-                self.attach_or_queue(&mut es, entry, Arc::clone(&call))
-            };
-            if let Some((i, params)) = dispatch {
-                self.dispatch_body(entry, i, params);
-            }
-            let r = self.wait_for_reply_deadline(&call, entry, deadline, ticks);
-            self.release_cell(call);
-            return r;
         }
-
-        // Intercepted: same ring submission as the no-deadline path.
         let call = self.acquire_cell(args, self.rt.current(), t_call);
-        if self.rt.fault_point("intake_push") {
-            // Injected lost submission; the deadline converts the hang
-            // into a Timeout.
-            let r = self.wait_for_reply_deadline(&call, entry, deadline, ticks);
-            self.release_cell(call);
-            return r;
+        let r = if intercepted {
+            self.publish(entry, &call)
+        } else {
+            self.queue_implicit(entry, &call)
         }
-        // Commit point: publish into the lane/ring (see call_protocol).
-        self.rt.sim_point(CommitPoint::IntakePush);
-        if let Err(e) = self.submit_call(entry, &call) {
-            self.release_cell(call);
-            return Err(e);
-        }
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.is_closed() {
-            self.sweep_intake();
-        }
-        let r = self.wait_for_reply_deadline(&call, entry, deadline, ticks);
+        .and_then(|()| self.wait_for_reply_deadline(&call, entry, deadline, ticks));
         self.release_cell(call);
         r
     }
@@ -1330,10 +1282,7 @@ impl ObjectInner {
         // never reach a slot or the wait queue.
         if call.is_cancelled() {
             sync.in_ring.fetch_sub(1, Ordering::SeqCst);
-            if call.claim_tombstone() {
-                self.stats.on_reap();
-            }
-            self.release_cell(call);
+            self.reap(call);
             return;
         }
         if self.rt.fault_point("drain") {
@@ -1405,7 +1354,7 @@ impl ObjectInner {
             // holds the lane, except after self-demoting).
             if self.lane_owner.is_active() {
                 foreign_ring_pop = true;
-            } else if self.entries[eidx as usize].fast_lane {
+            } else {
                 let tag = call.caller.as_u64().wrapping_add(1);
                 if self.lane_last_producer.load(Ordering::Relaxed) == tag {
                     let s = self.lane_streak.load(Ordering::Relaxed).saturating_add(1);
@@ -1414,9 +1363,6 @@ impl ObjectInner {
                     self.lane_last_producer.store(tag, Ordering::Relaxed);
                     self.lane_streak.store(1, Ordering::Relaxed);
                 }
-            } else {
-                self.lane_last_producer.store(0, Ordering::Relaxed);
-                self.lane_streak.store(0, Ordering::Relaxed);
             }
             self.drain_classify(now, eidx, call);
         }
@@ -1473,22 +1419,22 @@ impl ObjectInner {
         }
     }
 
+    /// Pop one undrained call — lane first, like the drain — and drop its
+    /// `in_ring` count. For the sweeps, which hold `intake_drain`.
+    fn pop_for_sweep(&self) -> Option<Arc<CallCell>> {
+        let (eidx, call) = self.lane.pop().or_else(|| self.intake.pop())?;
+        self.estates[eidx as usize]
+            .in_ring
+            .fetch_sub(1, Ordering::SeqCst);
+        Some(call)
+    }
+
     /// Fail every published cell still in the intake ring (shutdown path
     /// and producers that observed `closed` after their push).
     pub(crate) fn sweep_intake(&self) {
         let _g = self.intake_drain.lock();
         let mut popped = false;
-        while let Some((eidx, call)) = self.lane.pop() {
-            self.estates[eidx as usize]
-                .in_ring
-                .fetch_sub(1, Ordering::SeqCst);
-            self.complete(&call, Err(self.closed_err()));
-            popped = true;
-        }
-        while let Some((eidx, call)) = self.intake.pop() {
-            self.estates[eidx as usize]
-                .in_ring
-                .fetch_sub(1, Ordering::SeqCst);
+        while let Some(call) = self.pop_for_sweep() {
             self.complete(&call, Err(self.closed_err()));
             popped = true;
         }
@@ -1586,28 +1532,9 @@ impl ObjectInner {
         let fail_unseen = matches!(on, OnRestart::FailInFlight);
         if fail_unseen {
             let _g = self.intake_drain.lock();
-            while let Some((eidx, call)) = self.lane.pop() {
-                self.estates[eidx as usize]
-                    .in_ring
-                    .fetch_sub(1, Ordering::SeqCst);
+            while let Some(call) = self.pop_for_sweep() {
                 if call.is_cancelled() {
-                    if call.claim_tombstone() {
-                        self.stats.on_reap();
-                    }
-                    self.release_cell(call);
-                } else {
-                    self.complete(&call, Err(self.restarting_err()));
-                }
-            }
-            while let Some((eidx, call)) = self.intake.pop() {
-                self.estates[eidx as usize]
-                    .in_ring
-                    .fetch_sub(1, Ordering::SeqCst);
-                if call.is_cancelled() {
-                    if call.claim_tombstone() {
-                        self.stats.on_reap();
-                    }
-                    self.release_cell(call);
+                    self.reap(call);
                 } else {
                     self.complete(&call, Err(self.restarting_err()));
                 }
@@ -1910,8 +1837,7 @@ impl ObjectBuilder {
     /// producer promote that caller to the private SPSC fast lane
     /// (default [`tuning::LANE_PROMOTE_STREAK`]). Tests use small values
     /// to force promotion deterministically; `u32::MAX` disables the
-    /// lane for the whole object. See also [`EntryDef::fast_lane`] for
-    /// the per-entry switch.
+    /// lane for the whole object.
     pub fn lane_promote_after(mut self, streak: u32) -> Self {
         self.lane_promote_after = Some(streak);
         self
@@ -2191,6 +2117,42 @@ impl ObjectBuilder {
     }
 }
 
+/// [`ObjectHandle::call_id_retry`]'s [`Target`]: deadline-bounded
+/// in-process attempts that wait out a supervised restart.
+struct LocalAttempt<'a> {
+    inner: &'a Arc<ObjectInner>,
+    entry: usize,
+    args: ValVec,
+    /// Notifier epoch read *before* the latest attempt: if it fails with
+    /// `ObjectRestarting` and the restart completes before the recovery
+    /// wait registers, the epoch has already moved and the wait returns
+    /// at once — no lost wakeup.
+    seen: u64,
+}
+
+impl Target for LocalAttempt<'_> {
+    fn attempt(&mut self, ticks: u64) -> Result<ValVec> {
+        self.seen = self.inner.notifier.epoch();
+        self.inner
+            .call_protocol_deadline(self.entry, self.args.clone(), true, ticks)
+    }
+
+    /// A refused call returns without a scheduling point, so a
+    /// zero-backoff loop would burn every attempt while the restart
+    /// sweep is parked mid-window (the schedule explorer's
+    /// PreemptionBounded strategy found exactly this). Wait for the
+    /// restart's completion notify instead, bounded by the attempt's
+    /// budget slice. Refused callers never bump the notifier, so rivals
+    /// do not wake the wait spuriously.
+    fn wait_recovery(&mut self, err: &AlpsError, _remaining: u64, slice: u64) {
+        if matches!(err, AlpsError::ObjectRestarting { .. }) {
+            let rt = &self.inner.rt;
+            let until = rt.now().saturating_add(slice);
+            self.inner.notifier.wait_past_deadline(rt, self.seen, until);
+        }
+    }
+}
+
 struct HandleCore {
     inner: Arc<ObjectInner>,
 }
@@ -2235,6 +2197,18 @@ impl ObjectHandle {
             obj: inner.uid,
             idx: idx as u32,
         })
+    }
+
+    /// The entry index behind `id`, or [`AlpsError::ForeignEntryId`] if a
+    /// different object minted it.
+    fn index(&self, id: EntryId) -> Result<usize> {
+        let inner = &self.core.inner;
+        if id.obj != inner.uid {
+            return Err(AlpsError::ForeignEntryId {
+                object: inner.name.clone(),
+            });
+        }
+        Ok(id.idx as usize)
     }
 
     /// Names of the object's externally callable entries (locals are
@@ -2298,13 +2272,9 @@ impl ObjectHandle {
     /// As [`call`](Self::call), plus [`AlpsError::ForeignEntryId`] if the
     /// id was minted by a different object.
     pub fn call_id(&self, id: EntryId, args: impl Into<ValVec>) -> Result<ValVec> {
-        let inner = &self.core.inner;
-        if id.obj != inner.uid {
-            return Err(AlpsError::ForeignEntryId {
-                object: inner.name.clone(),
-            });
-        }
-        inner.call_protocol(id.idx as usize, args.into(), true)
+        self.core
+            .inner
+            .call_protocol(self.index(id)?, args.into(), true)
     }
 
     /// Like [`call`](Self::call), but give up after `ticks` virtual
@@ -2337,13 +2307,9 @@ impl ObjectHandle {
         args: impl Into<ValVec>,
         ticks: u64,
     ) -> Result<ValVec> {
-        let inner = &self.core.inner;
-        if id.obj != inner.uid {
-            return Err(AlpsError::ForeignEntryId {
-                object: inner.name.clone(),
-            });
-        }
-        inner.call_protocol_deadline(id.idx as usize, args.into(), true, ticks)
+        self.core
+            .inner
+            .call_protocol_deadline(self.index(id)?, args.into(), true, ticks)
     }
 
     /// Like [`call_deadline`](Self::call_deadline), but retry *transient*
@@ -2357,8 +2323,8 @@ impl ObjectHandle {
     /// The policy's `budget_ticks` bounds the whole affair — attempts plus
     /// backoff sleeps; each attempt's deadline is the remaining budget
     /// split evenly over the remaining attempts. With
-    /// [`Backoff::ExpJitter`], delays are drawn from the runtime's
-    /// deterministic random stream
+    /// [`Backoff::ExpJitter`](crate::Backoff::ExpJitter), delays are
+    /// drawn from the runtime's deterministic random stream
     /// ([`Runtime::rand_u64`](alps_runtime::Runtime::rand_u64)), so a
     /// seeded simulation replays the "random" backoff bit-for-bit.
     ///
@@ -2377,7 +2343,8 @@ impl ObjectHandle {
     }
 
     /// [`call_retry`](Self::call_retry) through an interned [`EntryId`]
-    /// (see [`call_id`](Self::call_id)).
+    /// (see [`call_id`](Self::call_id)), run by the shared
+    /// [`retry`](crate::retry) loop.
     ///
     /// # Errors
     ///
@@ -2390,81 +2357,13 @@ impl ObjectHandle {
         policy: RetryPolicy,
     ) -> Result<ValVec> {
         let inner = &self.core.inner;
-        if id.obj != inner.uid {
-            return Err(AlpsError::ForeignEntryId {
-                object: inner.name.clone(),
-            });
-        }
-        let args: ValVec = args.into();
-        let attempts = policy.max_attempts.max(1);
-        let deadline = inner.rt.now().saturating_add(policy.budget_ticks.max(1));
-        let mut last = None;
-        for k in 0..attempts {
-            let remaining = deadline.saturating_sub(inner.rt.now());
-            if remaining == 0 {
-                break;
-            }
-            // Split the remaining budget evenly over the remaining
-            // attempts so one slow attempt cannot starve the rest.
-            let per = (remaining / u64::from(attempts - k)).max(1);
-            // Epoch read BEFORE the attempt: if the attempt fails with
-            // ObjectRestarting and the restart completes before we
-            // register as a waiter below, the epoch has already moved and
-            // the wait returns immediately — no lost wakeup.
-            let seen = inner.notifier.epoch();
-            match inner.call_protocol_deadline(id.idx as usize, args.clone(), true, per) {
-                Ok(r) => return Ok(r),
-                // The transient taxonomy is owned by `AlpsError::is_retryable`
-                // so the remote proxy's retry loop and this one can never
-                // drift apart.
-                Err(e) if e.is_retryable() => {
-                    let restarting = matches!(e, AlpsError::ObjectRestarting { .. });
-                    last = Some(e);
-                    if k + 1 == attempts {
-                        break;
-                    }
-                    inner.stats.on_retry();
-                    let delay = match policy.backoff {
-                        Backoff::None => 0,
-                        Backoff::Fixed(t) => t,
-                        Backoff::ExpJitter { base, cap } => {
-                            let d = base.checked_shl(k).unwrap_or(u64::MAX).min(cap);
-                            // Uniform in [d/2, d].
-                            let lo = d / 2;
-                            lo + if d > lo {
-                                inner.rt.rand_u64() % (d - lo + 1)
-                            } else {
-                                0
-                            }
-                        }
-                    };
-                    let sleep = delay.min(deadline.saturating_sub(inner.rt.now()));
-                    if sleep > 0 {
-                        inner.rt.sleep(sleep);
-                    } else if restarting {
-                        // A refused call returns without a scheduling
-                        // point, so a zero-backoff loop would burn every
-                        // attempt while the restart sweep is parked
-                        // mid-window (the schedule explorer's
-                        // PreemptionBounded strategy found exactly this).
-                        // Wait for the restart's completion notify
-                        // instead, bounded by this attempt's budget
-                        // slice. Refused callers never bump the notifier,
-                        // so the wait is not woken spuriously by rivals.
-                        inner.notifier.wait_past_deadline(
-                            &inner.rt,
-                            seen,
-                            inner.rt.now().saturating_add(per),
-                        );
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or(AlpsError::Timeout {
-            what: inner.entries[id.idx as usize].name.clone(),
-            ticks: policy.budget_ticks,
-        }))
+        let mut target = LocalAttempt {
+            inner,
+            entry: self.index(id)?,
+            args: args.into(),
+            seen: 0,
+        };
+        retry(&inner.rt, policy, inner.stats.retry_counter(), &mut target)
     }
 
     /// The object's restart generation: 0 at spawn, incremented by every
@@ -2476,34 +2375,17 @@ impl ObjectHandle {
     /// Call a procedure *as if from inside the object*: local procedures
     /// are callable and, when intercepted, go through the full
     /// attach/accept/start/finish protocol. Intended for language
-    /// runtimes interpreting procedure bodies (the `alps-lang`
-    /// interpreter); ordinary clients should use [`call`](Self::call).
-    ///
-    /// # Errors
-    ///
-    /// As [`call`](Self::call), except local procedures are permitted.
-    pub fn call_from_inside(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let inner = &self.core.inner;
-        let idx = inner.entry_idx(entry)?;
-        inner.call_protocol(idx, args.into(), false).map(Vec::from)
-    }
-
-    /// [`call_from_inside`](Self::call_from_inside) through an interned
-    /// [`EntryId`] — the compiled-program path for intercepted sibling
-    /// calls, with zero per-call name resolution and inline tuples.
+    /// runtimes running procedure bodies (`alps-lang`); ordinary clients
+    /// should use [`call_id`](Self::call_id).
     ///
     /// # Errors
     ///
     /// As [`call_id`](Self::call_id), except local procedures are
     /// permitted.
     pub fn call_from_inside_id(&self, id: EntryId, args: impl Into<ValVec>) -> Result<ValVec> {
-        let inner = &self.core.inner;
-        if id.obj != inner.uid {
-            return Err(AlpsError::ForeignEntryId {
-                object: inner.name.clone(),
-            });
-        }
-        inner.call_protocol(id.idx as usize, args.into(), false)
+        self.core
+            .inner
+            .call_protocol(self.index(id)?, args.into(), false)
     }
 
     /// `#P` for an entry: calls attached-but-unaccepted plus queued

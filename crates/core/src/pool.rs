@@ -6,7 +6,9 @@
 //! 1. create a process per remote call ([`PoolMode::PerCall`] — "in many
 //!    operating systems dynamic process creation is expensive");
 //! 2. preallocate one process per array element, 1:1
-//!    ([`PoolMode::PerSlot`]);
+//!    ([`PoolMode::PerSlot`]; here each element's process is created at
+//!    its first start and then kept, so elements that never start a
+//!    body cost no process);
 //! 3. preallocate a pool of `M ≪ N` processes and bind a process to a call
 //!    when it is *started* rather than when it arrives
 //!    ([`PoolMode::Shared`]), attractive "for resources in high demand
@@ -32,7 +34,8 @@ use crate::value::ValVec;
 pub enum PoolMode {
     /// Spawn a fresh process per started call.
     PerCall,
-    /// One preallocated worker per procedure-array slot (1:1).
+    /// One worker per procedure-array slot (1:1), spawned on the slot's
+    /// first dispatch and kept for the object's lifetime.
     #[default]
     PerSlot,
     /// A shared pool of `M` preallocated workers serving all slots.
@@ -113,6 +116,10 @@ struct SlotBox {
 struct SlotBoxSt {
     job: Option<Job>,
     waiter: Option<ProcId>,
+    /// Whether the slot's worker exists. Workers spawn on their slot's
+    /// first dispatch, so an object whose bodies all run inline or in
+    /// its manager never starts any.
+    spawned: bool,
 }
 
 pub(crate) struct Pool {
@@ -132,7 +139,7 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// Create the pool and eagerly spawn preallocated workers.
+    /// Create the pool and spawn the shared pool's workers.
     /// `total_slots` is the sum of all procedure-array sizes of the object
     /// (used by [`PoolMode::PerSlot`]).
     pub(crate) fn new(
@@ -156,15 +163,15 @@ impl Pool {
         match mode {
             PoolMode::PerCall => {}
             PoolMode::PerSlot => {
-                for key in 0..total_slots {
-                    let sb = Arc::new(SlotBox {
-                        st: Mutex::new(SlotBoxSt::default()),
-                        closed: AtomicBool::new(false),
-                        has_job: AtomicBool::new(false),
-                    });
-                    pool.per_slot.push(Arc::clone(&sb));
-                    pool.spawn_slot_worker(key, sb);
-                }
+                pool.per_slot = (0..total_slots)
+                    .map(|_| {
+                        Arc::new(SlotBox {
+                            st: Mutex::new(SlotBoxSt::default()),
+                            closed: AtomicBool::new(false),
+                            has_job: AtomicBool::new(false),
+                        })
+                    })
+                    .collect();
             }
             PoolMode::Shared(m) => {
                 let q = Arc::new(SharedQ::default());
@@ -283,14 +290,17 @@ impl Pool {
             }
             PoolMode::PerSlot => {
                 let sb = &self.per_slot[slot_key];
-                let waiter = {
+                let (waiter, first) = {
                     let mut st = sb.st.lock();
                     debug_assert!(st.job.is_none(), "slot worker busy twice");
                     st.job = Some(job);
                     sb.has_job.store(true, Ordering::SeqCst);
-                    st.waiter.take()
+                    (st.waiter.take(), !std::mem::replace(&mut st.spawned, true))
                 };
-                if let Some(w) = waiter {
+                if first {
+                    // The new worker finds the job already in its box.
+                    self.spawn_slot_worker(slot_key, Arc::clone(sb));
+                } else if let Some(w) = waiter {
                     self.rt.unpark(w);
                 }
             }
@@ -404,6 +414,31 @@ mod tests {
         let (spawned, executed) = run_jobs(PoolMode::PerSlot, 4, 8);
         assert_eq!(spawned, 4);
         assert_eq!(executed, 8);
+    }
+
+    #[test]
+    fn object_with_only_implicit_entries_spawns_no_workers() {
+        use crate::{EntryDef, ObjectBuilder, Ty};
+        let sim = SimRuntime::new();
+        let spawned = sim
+            .run(|rt| {
+                let obj = ObjectBuilder::new("Inline")
+                    .entry(
+                        EntryDef::new("Echo")
+                            .params([Ty::Int])
+                            .results([Ty::Int])
+                            .array(4)
+                            .body(|_, args| Ok(vec![args[0].clone()])),
+                    )
+                    .spawn(rt)
+                    .unwrap();
+                for i in 0..10i64 {
+                    obj.call("Echo", crate::vals![i]).unwrap();
+                }
+                obj.pool_procs_spawned()
+            })
+            .unwrap();
+        assert_eq!(spawned, 0);
     }
 
     #[test]

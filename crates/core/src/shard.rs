@@ -174,6 +174,14 @@ impl ShardedInner {
         }
         Ok(Arc::clone(&self.tables.lock()[id.slot as usize]))
     }
+
+    /// The one router behind every routed call: the shard that owns
+    /// `key`, and the id of entry `id` on that shard.
+    fn route(&self, id: ShardEntryId, key: u64) -> Result<(&ObjectHandle, EntryId)> {
+        let table = self.table(id)?;
+        let shard = spread(key, table.len());
+        Ok((&self.shards[shard], table[shard]))
+    }
 }
 
 /// Ensures a combining leader always clears its map slot and answers
@@ -365,15 +373,16 @@ impl ShardedHandle {
     /// [`AlpsError::UnknownEntry`] if any shard lacks the entry.
     pub fn entry_id(&self, entry: &str) -> Result<ShardEntryId> {
         let inner = &self.inner;
+        let id = |slot| ShardEntryId {
+            group: inner.uid,
+            slot,
+        };
         if let Some(&slot) = inner.slots.lock().get(entry) {
-            return Ok(ShardEntryId {
-                group: inner.uid,
-                slot,
-            });
+            return Ok(id(slot));
         }
         // Resolve outside the slots lock (entry_id takes per-shard
-        // locks); a racing duplicate insert is harmless — both callers
-        // intern identical tables and the loser's slot simply wins.
+        // locks); a racing duplicate resolve is harmless — the first
+        // insert wins and the loser's table is dropped.
         let ids: Arc<[EntryId]> = inner
             .shards
             .iter()
@@ -381,21 +390,12 @@ impl ShardedHandle {
             .collect::<Result<Vec<_>>>()?
             .into();
         let mut slots = inner.slots.lock();
-        if let Some(&slot) = slots.get(entry) {
-            return Ok(ShardEntryId {
-                group: inner.uid,
-                slot,
-            });
-        }
-        let mut tables = inner.tables.lock();
-        let slot = tables.len() as u32;
-        tables.push(ids);
-        drop(tables);
-        slots.insert(entry.to_string(), slot);
-        Ok(ShardEntryId {
-            group: inner.uid,
-            slot,
-        })
+        let slot = *slots.entry(entry.to_string()).or_insert_with(|| {
+            let mut tables = inner.tables.lock();
+            tables.push(ids);
+            tables.len() as u32 - 1
+        });
+        Ok(id(slot))
     }
 
     /// Call an entry, routing by the stable hash of `args` (equal
@@ -445,9 +445,8 @@ impl ShardedHandle {
         key: u64,
         args: impl Into<ValVec>,
     ) -> Result<ValVec> {
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard].call_id(table[shard], args)
+        let (shard, eid) = self.inner.route(id, key)?;
+        shard.call_id(eid, args)
     }
 
     /// Deadline-bounded routed call (argument-hash routing); see
@@ -458,33 +457,8 @@ impl ShardedHandle {
     /// As [`ObjectHandle::call_deadline`] on the routed shard.
     pub fn call_deadline(&self, entry: &str, args: Vec<Value>, ticks: u64) -> Result<Vec<Value>> {
         let id = self.entry_id(entry)?;
-        let args: ValVec = args.into();
-        let key = hash_values(&args);
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_deadline(table[shard], args, ticks)
-            .map(Vec::from)
-    }
-
-    /// Deadline-bounded routed call with an explicit key.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_deadline`](Self::call_deadline).
-    pub fn call_key_deadline(
-        &self,
-        key: u64,
-        entry: &str,
-        args: Vec<Value>,
-        ticks: u64,
-    ) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_deadline(table[shard], args, ticks)
-            .map(Vec::from)
+        let (shard, eid) = self.inner.route(id, hash_values(&args))?;
+        shard.call_id_deadline(eid, args, ticks).map(Vec::from)
     }
 
     /// Retrying routed call (argument-hash routing); see
@@ -499,14 +473,7 @@ impl ShardedHandle {
         args: Vec<Value>,
         policy: RetryPolicy,
     ) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        let args: ValVec = args.into();
-        let key = hash_values(&args);
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_retry(table[shard], args, policy)
-            .map(Vec::from)
+        self.call_key_retry(hash_values(&args), entry, args, policy)
     }
 
     /// Retrying routed call with an explicit key.
@@ -522,11 +489,8 @@ impl ShardedHandle {
         policy: RetryPolicy,
     ) -> Result<Vec<Value>> {
         let id = self.entry_id(entry)?;
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_retry(table[shard], args, policy)
-            .map(Vec::from)
+        let (shard, eid) = self.inner.route(id, key)?;
+        shard.call_id_retry(eid, args, policy).map(Vec::from)
     }
 
     /// Scatter-gather: invoke `entry(args)` on **every** shard
@@ -600,9 +564,9 @@ impl ShardedHandle {
     /// [`AlpsError::ForeignEntryId`].
     pub fn call_id_combined(&self, id: ShardEntryId, args: impl Into<ValVec>) -> Result<ValVec> {
         let inner = &self.inner;
-        let table = inner.table(id)?;
         let args: ValVec = args.into();
         let key = hash_values(&args);
+        let (shard, eid) = inner.route(id, key)?;
         let follow = {
             let mut map = inner.combine.lock();
             match map.entry((id.slot, key)) {
@@ -642,8 +606,7 @@ impl ShardedHandle {
             ),
             published: false,
         };
-        let shard = spread(key, table.len());
-        let res = inner.shards[shard].call_id(table[shard], args);
+        let res = shard.call_id(eid, args);
         guard.publish(res.clone());
         res
     }
@@ -836,20 +799,39 @@ mod tests {
         let group = ShardedBuilder::new("Echo", 4)
             .spawn(&rt, echo_builder)
             .unwrap();
-        for i in 0..32i64 {
-            let args = vals![i];
-            let want = group.shard_for_args(&args) as i64;
-            let r = group.call("Echo", args).unwrap();
-            assert_eq!(r[0], Value::Int(i));
-            assert_eq!(r[1], Value::Int(want), "call {i} routed to wrong shard");
+        type Route = fn(&ShardedHandle, Vec<Value>) -> Result<Vec<Value>>;
+        const POLICY: RetryPolicy = RetryPolicy {
+            max_attempts: 2,
+            backoff: crate::Backoff::None,
+            budget_ticks: 1_000_000,
+        };
+        let routes: [(&str, Route); 5] = [
+            ("call", |g, a| g.call("Echo", a)),
+            ("call_deadline", |g, a| {
+                g.call_deadline("Echo", a, 1_000_000)
+            }),
+            ("call_retry", |g, a| g.call_retry("Echo", a, POLICY)),
+            ("call_key_retry", |g, a| {
+                g.call_key_retry(hash_values(&a), "Echo", a, POLICY)
+            }),
+            ("call_combined", |g, a| g.call_combined("Echo", a)),
+        ];
+        for (form, route) in routes {
+            for i in 0..32i64 {
+                let args = vals![i];
+                let want = group.shard_for_args(&args) as i64;
+                let r = route(&group, args).unwrap();
+                assert_eq!(r[0], Value::Int(i));
+                assert_eq!(r[1], Value::Int(want), "{form} {i} routed to wrong shard");
+            }
         }
         // Every shard's counters roll up into the aggregate.
         let agg = group.stats();
         assert_eq!(agg.shards, 4);
-        assert_eq!(agg.calls, 32);
+        assert_eq!(agg.calls, 5 * 32);
         assert_eq!(
             (0..4).map(|i| group.shard_stats(i).calls()).sum::<u64>(),
-            32
+            5 * 32
         );
         group.shutdown();
         assert!(group.is_closed());

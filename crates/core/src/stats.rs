@@ -266,8 +266,8 @@ impl ObjectStats {
     pub(crate) fn on_shed(&self) {
         self.inner.sheds.incr();
     }
-    pub(crate) fn on_retry(&self) {
-        self.inner.retries.incr();
+    pub(crate) fn retry_counter(&self) -> &Counter {
+        &self.inner.retries
     }
     pub(crate) fn on_overload_flip(&self) {
         self.inner.overload_flips.incr();
@@ -398,9 +398,7 @@ mod tests {
         s.on_restart();
         s.on_shed();
         s.on_shed();
-        s.on_retry();
-        s.on_retry();
-        s.on_retry();
+        s.retry_counter().add(3);
         s.on_overload_flip();
         assert_eq!(s.restarts(), 1);
         assert_eq!(s.sheds(), 2);

@@ -18,6 +18,14 @@
 //! * [`RetryPolicy`] / [`Backoff`] — caller-side retry of the transient
 //!   errors the two mechanisms above produce
 //!   ([`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry)).
+//! * [`retry`] / [`Target`] — the one retry loop behind every handle's
+//!   `call_retry`, in process and over the wire.
+
+use alps_runtime::metrics::Counter;
+use alps_runtime::Runtime;
+
+use crate::error::{AlpsError, Result};
+use crate::value::ValVec;
 
 /// What a supervised object does when an entry body panics.
 ///
@@ -115,15 +123,40 @@ pub enum Backoff {
     Fixed(u64),
     /// Exponential backoff with decorrelating jitter: attempt *k* sleeps
     /// a uniformly random duration in `[d/2, d]` where
-    /// `d = min(cap, base << k)`. The jitter is drawn from
-    /// [`Runtime::rand_u64`](alps_runtime::Runtime::rand_u64), so on a
-    /// seeded simulation the "random" delays replay deterministically.
+    /// `d = min(cap, base · 2^k)`, computed without overflow. The jitter
+    /// is drawn from [`Runtime::rand_u64`](alps_runtime::Runtime::rand_u64),
+    /// so on a seeded simulation the "random" delays replay
+    /// deterministically.
     ExpJitter {
         /// First-attempt delay in ticks (doubles every retry).
         base: u64,
         /// Upper bound on the un-jittered delay.
         cap: u64,
     },
+}
+
+impl Backoff {
+    /// The delay in ticks before retry number `k + 1`, i.e. after the
+    /// `k`-th (0-based) failed attempt. The un-jittered exponential delay
+    /// saturates at `cap`, however large `k` grows.
+    pub fn delay(&self, k: u32, rt: &Runtime) -> u64 {
+        match *self {
+            Backoff::None => 0,
+            Backoff::Fixed(t) => t,
+            Backoff::ExpJitter { base, cap } => {
+                let d = base
+                    .saturating_mul(1u64.checked_shl(k).unwrap_or(u64::MAX))
+                    .min(cap);
+                // Uniform in [d/2, d].
+                let lo = d / 2;
+                lo + if d > lo {
+                    rt.rand_u64() % (d - lo + 1)
+                } else {
+                    0
+                }
+            }
+        }
+    }
 }
 
 /// Caller-side retry of transient failures, layered on
@@ -166,6 +199,61 @@ impl RetryPolicy {
     }
 }
 
+/// What [`retry`] retries: one kind of handle, one logical call.
+pub trait Target {
+    /// Make one attempt whose waiting is bounded by `ticks`.
+    fn attempt(&mut self, ticks: u64) -> Result<ValVec>;
+
+    /// Wait for the target to recover from the transient `err` when the
+    /// backoff schedule leaves nothing to sleep. `remaining` is the
+    /// policy budget left; `slice` was the failed attempt's share of it.
+    fn wait_recovery(&mut self, err: &AlpsError, remaining: u64, slice: u64);
+}
+
+/// The retry loop behind every `call_retry`: attempt, and on a transient
+/// failure ([`AlpsError::is_retryable`]) count a retry on `retries`,
+/// back off per `policy`, and attempt again. Each attempt gets the
+/// remaining budget split evenly over the remaining attempts, so one
+/// slow attempt cannot starve the rest. When every attempt fails
+/// transiently, or the budget runs out, the last error is returned.
+pub fn retry(
+    rt: &Runtime,
+    policy: RetryPolicy,
+    retries: &Counter,
+    target: &mut impl Target,
+) -> Result<ValVec> {
+    let attempts = policy.max_attempts.max(1);
+    let budget = policy.budget_ticks.max(1);
+    let deadline = rt.now().saturating_add(budget);
+    let mut remaining = budget;
+    let mut k = 0;
+    loop {
+        let slice = (remaining / u64::from(attempts - k)).max(1);
+        let err = match target.attempt(slice) {
+            Err(e) if e.is_retryable() => e,
+            done => return done,
+        };
+        if k + 1 == attempts {
+            return Err(err);
+        }
+        retries.incr();
+        let sleep = policy
+            .backoff
+            .delay(k, rt)
+            .min(deadline.saturating_sub(rt.now()));
+        if sleep > 0 {
+            rt.sleep(sleep);
+        } else {
+            target.wait_recovery(&err, deadline.saturating_sub(rt.now()), slice);
+        }
+        remaining = deadline.saturating_sub(rt.now());
+        if remaining == 0 {
+            return Err(err);
+        }
+        k += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +264,20 @@ mod tests {
         assert_eq!(p.max_attempts, 3);
         assert_eq!(p.budget_ticks, 900);
         assert_eq!(p.backoff, Backoff::Fixed(10));
+    }
+
+    #[test]
+    fn exp_backoff_saturates_at_cap_for_huge_attempt_numbers() {
+        let rt = Runtime::threaded();
+        let b = Backoff::ExpJitter {
+            base: 200,
+            cap: 5_000,
+        };
+        for k in [5, 61, 62, 63, 64, 100, u32::MAX] {
+            let d = b.delay(k, &rt);
+            assert!((2_500..=5_000).contains(&d), "attempt {k}: delay {d}");
+        }
+        rt.shutdown();
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{hash_values, spread, AlpsError, Backoff, Result, RetryPolicy, ValVec, Value};
+use alps_core::{retry, AlpsError, Backoff, Result, RetryPolicy, Target, ValVec, Value};
 use alps_runtime::metrics::Counter;
 use alps_runtime::{Chan, Notifier, Runtime, Spawn};
 use parking_lot::Mutex;
@@ -191,18 +191,6 @@ pub struct RemoteStats {
     pub reconnects: Counter,
     /// Retries performed by `call_retry`-family methods.
     pub retries: Counter,
-}
-
-impl RemoteStats {
-    /// Fold another handle's counters into this snapshot (saturating,
-    /// like every multi-process stat fold in this workspace).
-    fn absorb(&self, other: &RemoteStats) {
-        self.sent.add(other.sent.get());
-        self.replies.add(other.replies.get());
-        self.link_losses.add(other.link_losses.get());
-        self.reconnects.add(other.reconnects.get());
-        self.retries.add(other.retries.get());
-    }
 }
 
 /// Connection state machine. All transitions happen under the one
@@ -420,62 +408,15 @@ impl RemoteHandle {
         policy: RetryPolicy,
     ) -> Result<ValVec> {
         let inner = &self.inner;
-        let args: ValVec = args.into();
-        let wire_id = inner.alloc_call();
-        let attempts = policy.max_attempts.max(1);
-        let deadline = inner.rt.now().saturating_add(policy.budget_ticks.max(1));
-        let mut last = None;
-        for k in 0..attempts {
-            let remaining = deadline.saturating_sub(inner.rt.now());
-            if remaining == 0 {
-                break;
-            }
-            // Same shape as the in-process loop: the remaining budget is
-            // split evenly over the remaining attempts.
-            let per = (remaining / u64::from(attempts - k)).max(1);
-            let attempt_deadline = inner.rt.now().saturating_add(per);
-            match inner.attempt(wire_id, &id.name, args.clone(), Some(attempt_deadline)) {
-                Ok(r) => {
-                    inner.release_call(wire_id);
-                    return Ok(r);
-                }
-                Err(e) if e.is_retryable() => {
-                    last = Some(e);
-                    if k + 1 == attempts {
-                        break;
-                    }
-                    inner.stats.retries.incr();
-                    let delay = match policy.backoff {
-                        Backoff::None => 0,
-                        Backoff::Fixed(t) => t,
-                        Backoff::ExpJitter { base, cap } => {
-                            let d = base.checked_shl(k).unwrap_or(u64::MAX).min(cap);
-                            let lo = d / 2;
-                            lo + if d > lo {
-                                inner.rt.rand_u64() % (d - lo + 1)
-                            } else {
-                                0
-                            }
-                        }
-                    };
-                    // Floor at one tick: with zero backoff a refused call
-                    // (Overloaded/Restarting travels the wire in zero
-                    // *virtual* time under the sim) would burn every
-                    // attempt inside one scheduling window.
-                    let sleep = delay.max(1).min(deadline.saturating_sub(inner.rt.now()));
-                    inner.rt.sleep(sleep);
-                }
-                Err(e) => {
-                    inner.release_call(wire_id);
-                    return Err(e);
-                }
-            }
-        }
-        inner.release_call(wire_id);
-        Err(last.unwrap_or(AlpsError::Timeout {
-            what: id.name.to_string(),
-            ticks: policy.budget_ticks,
-        }))
+        let mut target = RemoteAttempt {
+            inner,
+            wire_id: inner.alloc_call(),
+            entry: &id.name,
+            args: args.into(),
+        };
+        let r = retry(&inner.rt, policy, &inner.stats.retries, &mut target);
+        inner.release_call(target.wire_id);
+        r
     }
 
     /// One logical call = one wire id held for its whole lifetime.
@@ -489,6 +430,32 @@ impl RemoteHandle {
         let r = self.inner.attempt(wire_id, &id.name, args, deadline);
         self.inner.release_call(wire_id);
         r
+    }
+}
+
+/// [`RemoteHandle::call_id_retry`]'s [`Target`]: every attempt re-sends
+/// one wire call id, so the server's session dedup runs the body at most
+/// once across all of them.
+struct RemoteAttempt<'a> {
+    inner: &'a Arc<RemoteInner>,
+    wire_id: u64,
+    entry: &'a str,
+    args: ValVec,
+}
+
+impl Target for RemoteAttempt<'_> {
+    fn attempt(&mut self, ticks: u64) -> Result<ValVec> {
+        let deadline = self.inner.rt.now().saturating_add(ticks);
+        self.inner
+            .attempt(self.wire_id, self.entry, self.args.clone(), Some(deadline))
+    }
+
+    /// Sleep one tick: with zero backoff a refused call
+    /// (Overloaded/Restarting travels the wire in zero *virtual* time
+    /// under the sim) would burn every attempt inside one scheduling
+    /// window.
+    fn wait_recovery(&mut self, _err: &AlpsError, remaining: u64, _slice: u64) {
+        self.inner.rt.sleep(remaining.min(1));
     }
 }
 
@@ -690,20 +657,11 @@ impl RemoteInner {
                     if k + 1 == attempts {
                         break;
                     }
-                    let d = self
-                        .reconnect
-                        .base_ticks
-                        .checked_shl(k)
-                        .unwrap_or(u64::MAX)
-                        .min(self.reconnect.cap_ticks);
-                    let lo = d / 2;
-                    let jittered = lo
-                        + if d > lo {
-                            self.rt.rand_u64() % (d - lo + 1)
-                        } else {
-                            0
-                        };
-                    self.rt.sleep(jittered.max(1));
+                    let backoff = Backoff::ExpJitter {
+                        base: self.reconnect.base_ticks,
+                        cap: self.reconnect.cap_ticks,
+                    };
+                    self.rt.sleep(backoff.delay(k, &self.rt).max(1));
                 }
             }
         }
@@ -827,86 +785,4 @@ enum DialError {
     Io,
     /// The server refused the handshake: terminal.
     Refused(AlpsError),
-}
-
-/// A set of [`RemoteHandle`]s routed by key — the cross-process analogue
-/// of [`ShardedHandle`](alps_core::ShardedHandle), using the same
-/// [`spread`]/[`hash_values`] routing so a sharded object can be split
-/// across processes without changing which shard owns which key.
-pub struct RemoteGroup {
-    handles: Vec<RemoteHandle>,
-}
-
-impl RemoteGroup {
-    /// Group over `handles` (one per remote shard, in shard order).
-    ///
-    /// # Panics
-    ///
-    /// When `handles` is empty.
-    pub fn new(handles: Vec<RemoteHandle>) -> RemoteGroup {
-        assert!(
-            !handles.is_empty(),
-            "a RemoteGroup needs at least one handle"
-        );
-        RemoteGroup { handles }
-    }
-
-    /// Number of remote shards.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the group is empty (never true — construction requires
-    /// at least one handle).
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// The handle that owns `key`.
-    pub fn shard_for(&self, key: u64) -> &RemoteHandle {
-        &self.handles[spread(key, self.handles.len())]
-    }
-
-    /// Route by explicit key.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteHandle::call`].
-    pub fn call_key(&self, key: u64, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        self.shard_for(key).call(entry, args)
-    }
-
-    /// Route by explicit key with retry.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteHandle::call_retry`].
-    pub fn call_key_retry(
-        &self,
-        key: u64,
-        entry: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Value>> {
-        self.shard_for(key).call_retry(entry, args, policy)
-    }
-
-    /// Route by hashing the argument values (the same hash the
-    /// in-process sharded router uses).
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteHandle::call`].
-    pub fn call(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        self.call_key(hash_values(&args), entry, args)
-    }
-
-    /// Summed counters across the group's handles.
-    pub fn stats(&self) -> RemoteStats {
-        let total = RemoteStats::default();
-        for h in &self.handles {
-            total.absorb(&h.stats());
-        }
-        total
-    }
 }
