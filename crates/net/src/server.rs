@@ -32,6 +32,21 @@
 //! *Retryable* failures are **not** cached: `Overloaded` and
 //! `ObjectRestarting` mean the body never ran, so the client's retry of
 //! the same call id must re-execute, not replay the refusal.
+//!
+//! # Dispatch processes
+//!
+//! A call cannot run on its connection's process: a guarded body may
+//! wait for a later call on the same connection, which that process
+//! would then never read. Creating a process per call (paper §3's first
+//! strategy) costs a process creation per call, which dominated the
+//! server's time. Calls are instead handed to reused **dispatch
+//! processes**: a call goes to an idle dispatcher if one exists and to a
+//! newly spawned one otherwise. A dispatcher serves one call at a time,
+//! so no call waits behind another's body; once the verdict is cached it
+//! marks itself idle, sends the reply, and waits for its next call
+//! instead of exiting. The number of dispatchers therefore never exceeds
+//! the peak number of calls accepted and not yet answered, and a client
+//! making one call at a time is served by a single dispatcher.
 
 use std::collections::HashMap;
 use std::io;
@@ -85,6 +100,18 @@ pub struct ServerStats {
     pub suppressed: Counter,
     /// Connections killed by undecodable frames.
     pub frame_errors: Counter,
+    /// Dispatch processes spawned to run calls. Dispatchers are reused,
+    /// so this is at most the peak number of calls in flight at once.
+    pub dispatchers: Counter,
+}
+
+/// One accepted call, handed to a dispatch process as plain data.
+struct Job {
+    session: Arc<Session>,
+    call: u64,
+    entry: u32,
+    budget: u64,
+    args: ValVec,
 }
 
 struct ServerInner {
@@ -92,8 +119,12 @@ struct ServerInner {
     objects: Mutex<HashMap<String, ObjectHandle>>,
     sessions: Mutex<HashMap<(String, u64), Arc<Session>>>,
     stats: ServerStats,
+    /// Set under the `idle` lock, so a call is never handed off after
+    /// [`NetServer::shutdown`] has released the idle dispatchers.
     shutdown: AtomicBool,
     conn_seq: AtomicU64,
+    /// Inboxes of the dispatch processes waiting for a call.
+    idle: Mutex<Vec<Chan<Job>>>,
 }
 
 /// Serves a set of objects over [`Link`]s. Clone to share.
@@ -137,6 +168,7 @@ impl NetServer {
                 stats: ServerStats::default(),
                 shutdown: AtomicBool::new(false),
                 conn_seq: AtomicU64::new(0),
+                idle: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -154,10 +186,19 @@ impl NetServer {
         self.inner.stats.clone()
     }
 
-    /// Stop accepting connections. Existing connections die on their
-    /// next frame; listeners wake and exit.
+    /// Stop accepting connections and calls. Existing connections die on
+    /// their next frame without running it; listeners exit on their next
+    /// accept; idle dispatch processes exit now, busy ones after their
+    /// current call.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        let idle = {
+            let mut idle = self.inner.idle.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+            std::mem::take(&mut *idle)
+        };
+        for inbox in idle {
+            inbox.close(&self.inner.rt);
+        }
     }
 
     /// Serve one established link on a daemon process. Returns
@@ -239,8 +280,14 @@ impl NetServer {
             .rt
             .spawn_with(Spawn::new("net.accept.mem").daemon(true), move || {
                 while let Ok(server_end) = rx.recv(&this.inner.rt) {
-                    if this.inner.shutdown.load(Ordering::Relaxed) {
-                        break;
+                    if this.inner.shutdown.load(Ordering::SeqCst) {
+                        // Refuse rather than drop: a dropped end would
+                        // leave the dialer's handshake waiting forever.
+                        // Closing the queue fails later dials at connect;
+                        // the loop drains (and refuses) what is queued.
+                        server_end.shutdown();
+                        rx.close(&this.inner.rt);
+                        continue;
                     }
                     this.serve_link(server_end);
                 }
@@ -266,6 +313,9 @@ impl ServerInner {
         *session.writer.lock() = Some(Arc::clone(&link));
 
         while let Ok(bytes) = link.recv() {
+            if self.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
             match decode_frame(&bytes) {
                 Ok((
                     Frame::Call {
@@ -400,31 +450,101 @@ impl ServerInner {
                 }
             }
         }
-        self.stats.executed.incr();
+        let job = Job {
+            session: Arc::clone(session),
+            call,
+            entry,
+            budget,
+            args,
+        };
+        let inbox = {
+            let mut idle = self.idle.lock();
+            if self.shutdown.load(Ordering::SeqCst) {
+                // Shut down after this frame was read: the body never
+                // runs, so the marker must not suppress a later retry.
+                drop(idle);
+                session.calls.lock().remove(&call);
+                return;
+            }
+            self.stats.executed.incr();
+            idle.pop()
+        };
+        match inbox {
+            // A popped inbox is open: only shutdown closes inboxes, and
+            // it empties the idle list first.
+            Some(inbox) => {
+                let _ = inbox.send(&self.rt, job);
+            }
+            None => self.spawn_dispatcher(job),
+        }
+    }
+
+    /// Start a dispatch process on `job`. It serves one call at a time
+    /// and waits on its inbox between calls; it exits at shutdown.
+    fn spawn_dispatcher(self: &Arc<Self>, job: Job) {
+        self.stats.dispatchers.incr();
         let this = Arc::clone(self);
-        let session = Arc::clone(session);
-        self.rt.spawn_with(
-            Spawn::new(format!("net.call.{call}")).daemon(true),
-            move || {
-                let result = this.dispatch(&session, entry, budget, args);
-                let retryable = matches!(&result, Err(e) if wire_is_retryable(e));
-                {
-                    let mut calls = session.calls.lock();
-                    if retryable {
-                        // The body never ran (shed / restart sweep) or
-                        // timed out without an answer: drop the marker so
-                        // the client's retry of this id re-executes
-                        // rather than replaying a refusal.
-                        calls.remove(&call);
-                    } else {
-                        calls.insert(call, CallState::Done(result.clone()));
+        self.rt
+            .spawn_with(Spawn::new("net.dispatch").daemon(true), move || {
+                let inbox: Chan<Job> = Chan::unbounded("net.dispatch");
+                let mut job = job;
+                loop {
+                    let Job {
+                        session,
+                        call,
+                        entry,
+                        budget,
+                        args,
+                    } = job;
+                    let result = this.execute(&session, call, entry, budget, args);
+                    // Idle *before* replying: a client never holds a reply
+                    // whose dispatcher cannot yet take its next call, so
+                    // sequential calls reuse one dispatcher. A call handed
+                    // over now waits only for this reply's send.
+                    let open = {
+                        let mut idle = this.idle.lock();
+                        let open = !this.shutdown.load(Ordering::SeqCst);
+                        if open {
+                            idle.push(inbox.clone());
+                        }
+                        open
+                    };
+                    // Cache first, send second: if the reply frame dies
+                    // with the link, the client's retry finds the cached
+                    // verdict.
+                    this.reply(&session, call, result);
+                    if !open {
+                        return;
                     }
+                    // Only shutdown closes an inbox.
+                    let Ok(next) = inbox.recv(&this.rt) else {
+                        return;
+                    };
+                    job = next;
                 }
-                // Cache first, send second: if the reply frame dies with
-                // the link, the client's retry finds the cached verdict.
-                this.reply(&session, call, result);
-            },
-        );
+            });
+    }
+
+    /// Run one call's body and record its verdict in the session cache.
+    fn execute(
+        &self,
+        session: &Session,
+        call: u64,
+        entry: u32,
+        budget: u64,
+        args: ValVec,
+    ) -> Result<ValVec, WireErr> {
+        let result = self.dispatch(session, entry, budget, args);
+        let mut calls = session.calls.lock();
+        if matches!(&result, Err(e) if wire_is_retryable(e)) {
+            // The body never ran (shed / restart sweep) or timed out
+            // without an answer: drop the marker so the client's retry of
+            // this id re-executes rather than replaying a refusal.
+            calls.remove(&call);
+        } else {
+            calls.insert(call, CallState::Done(result.clone()));
+        }
+        result
     }
 
     /// Run the entry body, mapping every failure onto the wire taxonomy.
@@ -493,4 +613,43 @@ impl Session {
 /// drift).
 fn wire_is_retryable(w: &WireErr) -> bool {
     crate::wire::wire_to_err(w).is_retryable()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alps_core::{EntryDef, ObjectBuilder, Ty, Value};
+    use alps_runtime::SimRuntime;
+
+    /// Shutdown ends the idle dispatchers, which drop their reference to
+    /// the server.
+    #[test]
+    fn shutdown_releases_idle_dispatchers() {
+        SimRuntime::new()
+            .run(|rt| {
+                let obj = ObjectBuilder::new("Echo")
+                    .entry(
+                        EntryDef::new("Id")
+                            .params([Ty::Int])
+                            .results([Ty::Int])
+                            .body(|_ctx, args| Ok(args)),
+                    )
+                    .spawn(rt)
+                    .unwrap();
+                let server = NetServer::new(rt);
+                server.register(&obj);
+                let client = crate::RemoteHandle::new(rt, "Echo", server.mem_connector());
+                assert_eq!(
+                    client.call("Id", vec![Value::Int(7)]).unwrap(),
+                    vec![Value::Int(7)]
+                );
+                assert_eq!(server.stats().dispatchers.get(), 1);
+                let refs = Arc::strong_count(&server.inner);
+                server.shutdown();
+                rt.sleep(1);
+                assert_eq!(Arc::strong_count(&server.inner), refs - 1);
+                assert!(server.inner.idle.lock().is_empty());
+            })
+            .unwrap();
+    }
 }

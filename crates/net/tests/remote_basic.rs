@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use alps_core::{
-    vals, AlpsError, Backoff, EntryDef, ObjectBuilder, ObjectHandle, RestartPolicy, RetryPolicy,
-    Ty, Value,
+    vals, AlpsError, Backoff, EntryDef, Guard, ObjectBuilder, ObjectHandle, RestartPolicy,
+    RetryPolicy, Selected, Ty, Value,
 };
 use alps_net::{NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle, TcpConnector};
 use alps_runtime::{Runtime, SimRuntime, Spawn};
@@ -320,6 +320,157 @@ fn tcp_loopback_round_trip() {
         .call_deadline("Count", vals![1i64], 5_000_000)
         .unwrap();
     assert_eq!(r[0], Value::Int(8));
+
+    server.shutdown();
+    obj.shutdown();
+}
+
+/// A one-slot buffer whose manager accepts `Put(x)` only while the slot
+/// is empty and `Get()` only while it is full.
+fn one_slot(rt: &Runtime) -> ObjectHandle {
+    let slot = Arc::new(Mutex::new(None));
+    let (s_put, s_get) = (Arc::clone(&slot), slot);
+    ObjectBuilder::new("Slot")
+        .entry(
+            EntryDef::new("Put")
+                .params([Ty::Int])
+                .intercepted()
+                .body(move |_ctx, args| {
+                    *s_put.lock() = Some(args[0].as_int()?);
+                    Ok(vec![])
+                }),
+        )
+        .entry(
+            EntryDef::new("Get")
+                .results([Ty::Int])
+                .intercepted()
+                .body(move |_ctx, _args| {
+                    let v = s_get.lock().take().expect("Get accepted on a full slot");
+                    Ok(vec![Value::Int(v)])
+                }),
+        )
+        .manager(|mgr| {
+            let mut full = false;
+            loop {
+                let sel = mgr.select(vec![
+                    Guard::accept("Put").when(move |_| !full),
+                    Guard::accept("Get").when(move |_| full),
+                ])?;
+                match sel {
+                    Selected::Accepted { guard, call } => {
+                        mgr.execute(call)?;
+                        full = guard == 0;
+                    }
+                    _ => unreachable!("only accept guards"),
+                }
+            }
+        })
+        .spawn(rt)
+        .unwrap()
+}
+
+/// A call blocked on a guard must not stall a later call on the same
+/// session and connection: the `Get` waits for the `Put` that arrives
+/// behind it, so running either on the connection's own process (or
+/// behind the other's body) would deadlock the simulation.
+#[test]
+fn guarded_call_does_not_stall_a_later_call_on_its_connection() {
+    SimRuntime::new()
+        .run(|rt| {
+            let obj = one_slot(rt);
+            let server = NetServer::new(rt);
+            server.register(&obj);
+            let client = RemoteHandle::new(rt, "Slot", server.mem_connector());
+
+            let getter = client.clone();
+            let get = rt.spawn_with(Spawn::new("getter"), move || getter.call("Get", vals![]));
+            while server.stats().executed.get() == 0 {
+                rt.sleep(1);
+            }
+            client.call("Put", vals![42i64]).unwrap();
+            let r = get.join().unwrap().unwrap();
+            assert_eq!(r[0], Value::Int(42));
+            assert_eq!(client.stats().reconnects.get(), 1, "one connection");
+            assert_eq!(
+                server.stats().dispatchers.get(),
+                2,
+                "one per concurrent call"
+            );
+        })
+        .unwrap();
+}
+
+/// After `shutdown`, a call on a connection opened before it fails
+/// without running its body.
+#[test]
+fn shutdown_stops_calls_on_existing_connections() {
+    SimRuntime::new()
+        .run(|rt| {
+            let counts = Arc::new(Mutex::new(HashMap::new()));
+            let obj = counter(rt, &counts);
+            let server = NetServer::new(rt);
+            server.register(&obj);
+            let client = RemoteHandle::new(rt, "Counter", server.mem_connector());
+            assert_eq!(client.call("Bump", vals![1i64]).unwrap()[0], Value::Int(1));
+
+            server.shutdown();
+            let err = client.call("Bump", vals![1i64]).unwrap_err();
+            assert!(err.is_retryable(), "{err:?}");
+            assert_eq!(server.stats().executed.get(), 1);
+            assert_eq!(counts.lock().get(&1), Some(&1));
+        })
+        .unwrap();
+}
+
+/// Dialing a shut-down server fails instead of waiting forever for a
+/// handshake reply, so the caller's reconnect budget decides the outcome.
+#[test]
+fn dial_after_shutdown_fails_instead_of_hanging() {
+    SimRuntime::new()
+        .run(|rt| {
+            let counts = Arc::new(Mutex::new(HashMap::new()));
+            let obj = counter(rt, &counts);
+            let server = NetServer::new(rt);
+            server.register(&obj);
+            let connector = server.mem_connector();
+            server.shutdown();
+
+            let client = RemoteHandle::new(rt, "Counter", connector);
+            let err = client
+                .call_deadline("Bump", vals![1i64], 50_000)
+                .unwrap_err();
+            assert!(matches!(err, AlpsError::LinkLost { .. }), "{err:?}");
+            let err = client.call("Bump", vals![1i64]).unwrap_err();
+            assert!(matches!(err, AlpsError::LinkLost { .. }), "{err:?}");
+            assert_eq!(server.stats().executed.get(), 0);
+        })
+        .unwrap();
+}
+
+/// Real TCP on the threaded runtime: a thousand sequential calls over
+/// one connection reuse one dispatch process.
+#[test]
+fn tcp_sequential_calls_reuse_dispatchers() {
+    let rt = Runtime::threaded();
+    let counts = Arc::new(Mutex::new(HashMap::new()));
+    let obj = counter(&rt, &counts);
+    let server = NetServer::new(&rt);
+    server.register(&obj);
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+
+    let client = RemoteHandle::new(&rt, "Counter", TcpConnector::new(addr.to_string()));
+    let bump = client.entry_id("Bump");
+    for i in 1..=1000i64 {
+        let r = client.call_id(&bump, vals![1i64]).unwrap();
+        assert_eq!(r[0], Value::Int(i));
+    }
+    // The dispatcher marks itself idle before it sends a reply, so each
+    // next call finds it idle: one dispatcher, where a process per call
+    // would have made a thousand.
+    let s = server.stats();
+    assert_eq!(s.executed.get(), 1000);
+    assert_eq!(s.dispatchers.get(), 1);
+    assert_eq!(client.stats().reconnects.get(), 1, "one connection");
 
     server.shutdown();
     obj.shutdown();
