@@ -1244,13 +1244,11 @@ end
 /// Workload: Zipf-skewed integer keys over a sharded, supervised,
 /// managed-execute group on the work-stealing pool executor. One
 /// dispatcher process per shard replays that shard's slice of the
-/// schedule (single dominant producer — the shape the adaptive SPSC lane
-/// promotes on). Two configs run A/B:
+/// schedule (one producer per shard). Two configs run A/B:
 ///
-/// * `pr5_defaults`  — lane promotion disabled, no worker-affinity hints
-///   (the PR-5 behaviour);
-/// * `lane_affinity` — adaptive SPSC lane + per-shard affinity hints (the
-///   defaults after this change).
+/// * `no_affinity` — no worker-affinity hints;
+/// * `affinity`    — per-shard affinity hints (`spread_affinity`, the
+///   `ShardedBuilder` default).
 mod traffic {
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
     use std::sync::Arc;
@@ -1345,13 +1343,13 @@ mod traffic {
         out
     }
 
-    /// The sharded supervised group under test. `lane`/`affinity` toggle
-    /// this PR's two mechanisms independently of each other.
-    fn spawn_group(rt: &Runtime, lane: bool, affinity: bool) -> ShardedHandle {
+    /// The sharded supervised group under test; `affinity` toggles the
+    /// per-shard worker-affinity hints.
+    fn spawn_group(rt: &Runtime, affinity: bool) -> ShardedHandle {
         ShardedBuilder::new("KV", SHARDS)
             .spread_affinity(affinity)
             .spawn(rt, |i| {
-                let b = ObjectBuilder::new(format!("KV#{i}"))
+                ObjectBuilder::new(format!("KV#{i}"))
                     .entry(
                         EntryDef::new("Get")
                             .params([Ty::Int])
@@ -1374,14 +1372,7 @@ mod traffic {
                     .supervise(RestartPolicy::RestartTransient {
                         max_restarts: 3,
                         window_ticks: 1_000_000,
-                    });
-                if lane {
-                    b
-                } else {
-                    // `u32::MAX` keeps the intake-ring streak from ever
-                    // reaching the promotion threshold.
-                    b.lane_promote_after(u32::MAX)
-                }
+                    })
             })
             .unwrap()
     }
@@ -1395,8 +1386,6 @@ mod traffic {
         p999_ns: u64,
         mean_ns: f64,
         max_ns: u64,
-        lane_promotes: u64,
-        lane_pushes: u64,
     }
 
     /// Replay `arrivals` against a fresh group: one dispatcher process per
@@ -1416,9 +1405,9 @@ mod traffic {
             .min(SHARDS)
     }
 
-    fn run_once(lane: bool, affinity: bool, arrivals: &[Arrival], offered: f64) -> RunResult {
+    fn run_once(affinity: bool, arrivals: &[Arrival], offered: f64) -> RunResult {
         let rt = Runtime::thread_pool(workers());
-        let group = spawn_group(&rt, lane, affinity);
+        let group = spawn_group(&rt, affinity);
 
         // Partition the schedule by routing shard, preserving time order.
         let mut per_shard: Vec<Vec<Arrival>> = vec![Vec::new(); SHARDS];
@@ -1442,9 +1431,8 @@ mod traffic {
                 let (start2, hist2) = (Arc::clone(&start_ns), Arc::clone(&hist));
                 rt.spawn_with(Spawn::new(format!("dispatch-{si}")), move || {
                     let id = shard.entry_id("Get").unwrap();
-                    // Warm the shard closed-loop: recycles cells, trains
-                    // the EWMA, and (when enabled) builds the same-producer
-                    // streak past the promotion threshold.
+                    // Warm the shard closed-loop: recycles cells and
+                    // trains the EWMA.
                     for _ in 0..64 {
                         shard.call_id(id, argv![0i64]).unwrap();
                     }
@@ -1494,12 +1482,6 @@ mod traffic {
         let wall = wall0.elapsed().as_secs_f64() - 0.001; // minus the 1ms gate offset
         let achieved = arrivals.len() as f64 / wall.max(1e-9);
 
-        let (mut lane_promotes, mut lane_pushes) = (0u64, 0u64);
-        for si in 0..SHARDS {
-            let s = group.shard(si).stats();
-            lane_promotes += s.lane_promotes();
-            lane_pushes += s.lane_pushes();
-        }
         let res = RunResult {
             offered,
             achieved,
@@ -1508,8 +1490,6 @@ mod traffic {
             p999_ns: hist.percentile(99.9),
             mean_ns: hist.mean(),
             max_ns: hist.max(),
-            lane_promotes,
-            lane_pushes,
         };
         group.shutdown();
         rt.shutdown();
@@ -1524,7 +1504,7 @@ mod traffic {
     fn estimate_saturation(cdf: &[f64], probe_n: usize) -> f64 {
         let mut rng = Rng::new(0x5EED_CA11);
         let arrivals = schedule(&mut rng, cdf, 100.0e6, probe_n, false);
-        run_once(true, true, &arrivals, 100.0e6).achieved
+        run_once(true, &arrivals, 100.0e6).achieved
     }
 
     pub fn run(smoke: bool) {
@@ -1546,20 +1526,17 @@ mod traffic {
         } else {
             &[("poisson", false), ("bursty", true)]
         };
-        let configs: [(&str, bool, bool); 2] = [
-            ("pr5_defaults", false, false),
-            ("lane_affinity", true, true),
-        ];
+        let configs: [(&str, bool); 2] = [("no_affinity", false), ("affinity", true)];
 
         let mut json = String::from("{\n  \"bench\": \"traffic\",\n");
-        // The pr5_defaults configuration is the comparison baseline,
+        // The no_affinity configuration is the comparison baseline,
         // swept in this same run.
         json.push_str("  \"baseline_remeasured\": true,\n");
         json.push_str(
             "  \"unit\": {\"latency_ns\": \"completion minus intended arrival (open-loop: dispatcher lateness included)\", \"offered_ops_per_sec\": \"scheduled arrival rate\", \"achieved_ops_per_sec\": \"completions over wall time\"},\n",
         );
         json.push_str(&format!(
-            "  \"workload\": {{\"shards\": {SHARDS}, \"keys\": {KEYS}, \"zipf_s\": {ZIPF_S}, \"executor\": \"thread_pool({})\", \"supervised\": \"RestartTransient(3, 1e6 ticks)\", \"body\": \"~200-iteration CPU spin + echo\", \"dispatchers\": \"one per shard (single dominant producer)\"}},\n",
+            "  \"workload\": {{\"shards\": {SHARDS}, \"keys\": {KEYS}, \"zipf_s\": {ZIPF_S}, \"executor\": \"thread_pool({})\", \"supervised\": \"RestartTransient(3, 1e6 ticks)\", \"body\": \"~200-iteration CPU spin + echo\", \"dispatchers\": \"one per shard\"}},\n",
             workers()
         ));
         json.push_str(&format!(
@@ -1570,7 +1547,7 @@ mod traffic {
         // A/B comparison: (config, fraction, p50, p99, achieved).
         let mut headline: Vec<(&str, f64, u64, u64, f64)> = Vec::new();
 
-        for (cname, lane, affinity) in configs.iter() {
+        for (cname, affinity) in configs.iter() {
             println!("{cname}:");
             json.push_str(&format!("  \"{cname}\": {{\n"));
             for (pi, (pname, bursty)) in processes.iter().enumerate() {
@@ -1582,16 +1559,16 @@ mod traffic {
                     // load): both sides replay the identical schedule.
                     let mut rng = Rng::new(0x5EED_0000 ^ ((pi as u64) << 8) ^ fi as u64);
                     let arrivals = schedule(&mut rng, &cdf, offered, n, *bursty);
-                    let r = run_once(*lane, *affinity, &arrivals, offered);
+                    let r = run_once(*affinity, &arrivals, offered);
                     println!(
-                        "  {pname}/load_{f:.2}: offered {offered:.0}/s achieved {:.0}/s p50 {} p99 {} p999 {} (lane promotes {}, pushes {})",
-                        r.achieved, r.p50_ns, r.p99_ns, r.p999_ns, r.lane_promotes, r.lane_pushes
+                        "  {pname}/load_{f:.2}: offered {offered:.0}/s achieved {:.0}/s p50 {} p99 {} p999 {}",
+                        r.achieved, r.p50_ns, r.p99_ns, r.p999_ns
                     );
                     if *pname == "poisson" {
                         headline.push((cname, *f, r.p50_ns, r.p99_ns, r.achieved));
                     }
                     json.push_str(&format!(
-                        "      \"load_{f:.2}\": {{\"offered_ops_per_sec\": {:.0}, \"achieved_ops_per_sec\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"mean_ns\": {:.0}, \"max_ns\": {}, \"arrivals\": {}, \"lane_promotes\": {}, \"lane_pushes\": {}}}{}\n",
+                        "      \"load_{f:.2}\": {{\"offered_ops_per_sec\": {:.0}, \"achieved_ops_per_sec\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"mean_ns\": {:.0}, \"max_ns\": {}, \"arrivals\": {}}}{}\n",
                         r.offered,
                         r.achieved,
                         r.p50_ns,
@@ -1600,8 +1577,6 @@ mod traffic {
                         r.mean_ns,
                         r.max_ns,
                         n,
-                        r.lane_promotes,
-                        r.lane_pushes,
                         if fi + 1 == fractions.len() { "" } else { "," }
                     ));
                 }
@@ -1628,9 +1603,9 @@ mod traffic {
                 .map(|&(_, _, p50, p99, ach)| (p50, p99, ach))
                 .unwrap_or((0, 0, 0.0))
         };
-        let ratio = |pr5: u64, new: u64| {
+        let ratio = |base: u64, new: u64| {
             if new > 0 {
-                pr5 as f64 / new as f64
+                base as f64 / new as f64
             } else {
                 0.0
             }
@@ -1638,34 +1613,34 @@ mod traffic {
         let by_load: Vec<String> = fractions
             .iter()
             .map(|f| {
-                let (_, p99_a, _) = pick("pr5_defaults", *f);
-                let (_, p99_b, _) = pick("lane_affinity", *f);
+                let (_, p99_a, _) = pick("no_affinity", *f);
+                let (_, p99_b, _) = pick("affinity", *f);
                 format!(
-                    "{{\"load\": {f:.2}, \"pr5_p99_ns\": {p99_a}, \"lane_affinity_p99_ns\": {p99_b}, \"p99_ratio\": {:.2}}}",
+                    "{{\"load\": {f:.2}, \"no_affinity_p99_ns\": {p99_a}, \"affinity_p99_ns\": {p99_b}, \"p99_ratio\": {:.2}}}",
                     ratio(p99_a, p99_b)
                 )
             })
             .collect();
         let lo = fractions[0];
         let hi = *fractions.last().unwrap();
-        let (lo_p50_a, _, _) = pick("pr5_defaults", lo);
-        let (lo_p50_b, _, _) = pick("lane_affinity", lo);
-        let (_, hi_p99_a, hi_ach_a) = pick("pr5_defaults", hi);
-        let (_, hi_p99_b, hi_ach_b) = pick("lane_affinity", hi);
+        let (lo_p50_a, _, _) = pick("no_affinity", lo);
+        let (lo_p50_b, _, _) = pick("affinity", lo);
+        let (_, hi_p99_a, hi_ach_a) = pick("no_affinity", hi);
+        let (_, hi_p99_b, hi_ach_b) = pick("affinity", hi);
         let ach_ratio = if hi_ach_a > 0.0 {
             hi_ach_b / hi_ach_a
         } else {
             0.0
         };
         json.push_str(&format!(
-            "  \"headline\": {{\"note\": \"poisson, pr5_defaults over lane_affinity (ratios > 1 favor the lane+affinity path)\", \"p99_ratio_by_load\": [{}], \"p50_ratio_at_{lo:.2}x\": {:.2}, \"p99_ratio_at_{hi:.2}x\": {:.2}, \"achieved_ratio_at_{hi:.2}x\": {ach_ratio:.2}}}\n}}\n",
+            "  \"headline\": {{\"note\": \"poisson, no_affinity over affinity (ratios > 1 favor affinity)\", \"p99_ratio_by_load\": [{}], \"p50_ratio_at_{lo:.2}x\": {:.2}, \"p99_ratio_at_{hi:.2}x\": {:.2}, \"achieved_ratio_at_{hi:.2}x\": {ach_ratio:.2}}}\n}}\n",
             by_load.join(", "),
             ratio(lo_p50_a, lo_p50_b),
             ratio(hi_p99_a, hi_p99_b),
         ));
         std::fs::write("BENCH_traffic.json", &json).expect("write BENCH_traffic.json");
         println!(
-            "poisson headline: p50 @ {lo:.2}x pr5 {lo_p50_a} vs lane {lo_p50_b} ({:.2}x); p99 @ {hi:.2}x pr5 {hi_p99_a} vs lane {hi_p99_b} ({:.2}x); achieved @ {hi:.2}x {hi_ach_a:.0}/s vs {hi_ach_b:.0}/s ({ach_ratio:.2}x)",
+            "poisson headline: p50 @ {lo:.2}x no_affinity {lo_p50_a} vs affinity {lo_p50_b} ({:.2}x); p99 @ {hi:.2}x no_affinity {hi_p99_a} vs affinity {hi_p99_b} ({:.2}x); achieved @ {hi:.2}x {hi_ach_a:.0}/s vs {hi_ach_b:.0}/s ({ach_ratio:.2}x)",
             ratio(lo_p50_a, lo_p50_b),
             ratio(hi_p99_a, hi_p99_b),
         );

@@ -79,10 +79,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 mod entry;
 mod error;
-mod lane;
 mod manager;
 mod object;
 mod pool;

@@ -54,7 +54,6 @@ use parking_lot::Mutex;
 
 use crate::entry::EntryDef;
 use crate::error::{AlpsError, Result};
-use crate::lane::{LaneOwner, Release, SpscLane};
 use crate::manager::ManagerCtx;
 use crate::pool::{Job, Pool, PoolMode};
 use crate::proc_ctx::ProcCtx;
@@ -423,39 +422,16 @@ pub(crate) struct ObjectInner {
     /// Serializes ring consumers (manager drain, shutdown sweep, a
     /// producer's post-close self-sweep) so each cell has one completer.
     intake_drain: Mutex<()>,
-    /// The adaptive SPSC fast lane (see [`crate::lane`]): a private
-    /// single-producer queue for the one caller currently holding
-    /// `lane_owner`. The drain loop empties it *before* the shared ring
-    /// on every pass; `in_ring` accounting covers lane residents too, so
-    /// `#P` and shutdown semantics are identical on both routes.
-    pub(crate) lane: SpscLane<(u32, Arc<CallCell>)>,
-    /// Ownership word of the fast lane — who may push, and the mutual
-    /// exclusion between a push in progress and a demotion.
-    pub(crate) lane_owner: LaneOwner,
-    /// Streak bookkeeping driving promotion, written only by the drain
-    /// loop (under `intake_drain`): the last ring producer seen, stored
-    /// as `pid + 1` (0 = none), and how many consecutive ring pops it
-    /// has supplied.
-    lane_last_producer: AtomicU64,
-    lane_streak: AtomicU32,
-    /// Consecutive manager passes that reached the pre-park path with an
-    /// active-but-empty lane; at [`tuning::LANE_IDLE_DEMOTE_PASSES`] the
-    /// lane is released (see `wait_for_work`).
-    pub(crate) lane_dry: AtomicU32,
-    /// Promotion threshold ([`ObjectBuilder::lane_promote_after`];
-    /// default [`tuning::LANE_PROMOTE_STREAK`], `u32::MAX` disables).
-    lane_promote_streak: u32,
     /// True while the manager is between wakeup and its pre-park
     /// condition re-check; callers use it to decide whether yielding (the
     /// manager will service the ring soon) beats parking (it will not).
     pub(crate) mgr_active: AtomicBool,
-    /// Storm mode: the manager yield-polls the intake ring instead of
+    /// Poll mode: the manager yield-polls the intake ring instead of
     /// parking, so the whole submit→serve→reply cycle runs on scheduler
-    /// rotation with no futex traffic. Set by `drain_intake` whenever a
-    /// drain finds ≥ 2 cells — two calls physically queued at once proves
-    /// concurrent callers, which a lone synchronous caller (never more
-    /// than one call in flight) cannot fake — and cleared after a dry
-    /// poll budget in `wait_for_work`.
+    /// rotation with no futex traffic. Set by `drain_intake` after every
+    /// non-empty drain — a caller that just submitted is likely to submit
+    /// again within one reply round trip — and cleared after a dry poll
+    /// budget in `wait_for_work`, so an idle object parks.
     pub(crate) mgr_poll: AtomicBool,
     /// Restart generation: bumped at the start of every supervised
     /// restart, *before* the in-flight sweep. Manager primitives capture
@@ -929,55 +905,6 @@ impl ObjectInner {
         }
     }
 
-    /// Whether any submitted call is awaiting drain — in the shared
-    /// intake ring *or* the SPSC fast lane. Every manager-side "is there
-    /// work" check (pre-park re-check, poll loop, drain early-out) must
-    /// use this rather than `intake.is_empty()` alone, or a lane push
-    /// could be parked past and lost.
-    pub(crate) fn has_intake_work(&self) -> bool {
-        !self.intake.is_empty() || !self.lane.is_empty()
-    }
-
-    /// Submit an intercepted call: over the private SPSC lane when this
-    /// caller currently owns it, otherwise the shared MPSC intake ring.
-    /// The lane path is the tail-shaving fast route — no CAS retry loop,
-    /// no admission machinery — and is correct because `begin_push`
-    /// fails the instant ownership is lost, falling back to the ring.
-    fn submit_call(&self, entry: usize, call: &Arc<CallCell>) -> Result<()> {
-        let me = call.caller.as_u64();
-        if self.lane_owner.is(me) && self.lane_owner.begin_push(me) {
-            let sync = &self.estates[entry];
-            sync.in_ring.fetch_add(1, Ordering::SeqCst);
-            match self.lane.push((entry as u32, Arc::clone(call))) {
-                Ok(was_empty) => {
-                    self.lane_owner.end_push(me);
-                    self.stats.on_lane_push();
-                    if was_empty {
-                        self.notifier.notify(&self.rt);
-                    }
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Lane full — only reachable when this caller
-                    // abandoned earlier calls on deadline while the
-                    // manager stalled. Demote ourselves *before* the
-                    // ring fallback: the drain empties the lane first,
-                    // so our older lane items still replay before this
-                    // one and per-caller FIFO holds.
-                    sync.in_ring.fetch_sub(1, Ordering::SeqCst);
-                    self.lane_owner.end_push(me);
-                    if matches!(self.lane_owner.try_release(), Release::Released(_)) {
-                        self.stats.on_lane_demote();
-                        // Commit point (no locks held): the self-demote
-                        // races the manager's drain-side lane control.
-                        self.rt.sim_point(CommitPoint::LaneSwitch);
-                    }
-                }
-            }
-        }
-        self.push_intake(entry, call)
-    }
-
     /// Admission checks shared by both call paths: visibility, argument
     /// types, closed and poisoned state. Returns the call's start time.
     fn admit(&self, entry: usize, args: &ValVec, external: bool) -> Result<u64> {
@@ -1015,7 +942,7 @@ impl ObjectInner {
         Ok(free)
     }
 
-    /// Publish an intercepted call into the lane or ring. On `Err` the
+    /// Publish an intercepted call into the intake ring. On `Err` the
     /// call was refused and never published.
     fn publish(&self, entry: usize, call: &Arc<CallCell>) -> Result<()> {
         if self.rt.fault_point("intake_push") {
@@ -1025,9 +952,9 @@ impl ObjectInner {
             return Ok(());
         }
         // Commit point: the next step publishes this call into the
-        // lane/ring, racing the manager's drain. No locks held.
+        // ring, racing the manager's drain. No locks held.
         self.rt.sim_point(CommitPoint::IntakePush);
-        self.submit_call(entry, call)?;
+        self.push_intake(entry, call)?;
         // Shutdown may have raced the push: its sweep can miss a slot
         // whose publish was still in this core's store buffer when it
         // popped. The fence orders our publish before the load below,
@@ -1261,18 +1188,8 @@ impl ObjectInner {
         }
     }
 
-    /// Drain the intake ring: classify every published cell into its
-    /// entry's slot array or wait queue. Called by the manager at the top
-    /// of each select pass, so one wakeup amortizes over the whole batch.
-    ///
-    /// Classification is *silent* (no notifier bump): the manager is the
-    /// only waiter on the object notifier and it evaluates its guards
-    /// right after draining. Per-entry FIFO holds because ring pop order
-    /// is ring push order and a cell is queued — never slot-attached —
-    /// whenever earlier cells of its entry are still queued.
-    /// Classify one popped intake item — from the shared ring or the
-    /// fast lane, the protocol is identical — into its entry's slot
-    /// array or wait queue. Runs under the `intake_drain` lock.
+    /// Classify one popped intake item into its entry's slot array or
+    /// wait queue. Runs under the `intake_drain` lock.
     fn drain_classify(&self, now: u64, eidx: u32, call: Arc<CallCell>) {
         let entry = eidx as usize;
         let sync = &self.estates[entry];
@@ -1324,8 +1241,17 @@ impl ObjectInner {
         sync.in_ring.fetch_sub(1, Ordering::SeqCst);
     }
 
+    /// Drain the intake ring: classify every published cell into its
+    /// entry's slot array or wait queue. Called by the manager at the top
+    /// of each select pass, so one wakeup amortizes over the whole batch.
+    ///
+    /// Classification is *silent* (no notifier bump): the manager is the
+    /// only waiter on the object notifier and it evaluates its guards
+    /// right after draining. Per-entry FIFO holds because ring pop order
+    /// is ring push order and a cell is queued — never slot-attached —
+    /// whenever earlier cells of its entry are still queued.
     pub(crate) fn drain_intake(&self) {
-        if !self.has_intake_work() {
+        if self.intake.is_empty() {
             return;
         }
         // Commit point: work was observed but the drain lock is not yet
@@ -1337,59 +1263,9 @@ impl ObjectInner {
         let _g = self.intake_drain.lock();
         let now = self.rt.now();
         let mut drained = 0u64;
-        // Lane first, ring second — always. An owner that overflowed to
-        // the ring demoted itself *before* its ring push, so emptying
-        // the lane here keeps that caller's items in push order.
-        while let Some((eidx, call)) = self.lane.pop() {
-            drained += 1;
-            self.lane_dry.store(0, Ordering::SeqCst);
-            self.drain_classify(now, eidx, call);
-        }
-        let mut foreign_ring_pop = false;
         while let Some((eidx, call)) = self.intake.pop() {
             drained += 1;
-            // Same-producer streak tracking drives lane promotion; any
-            // ring traffic while the lane is active means a competing
-            // producer (the owner itself never uses the ring while it
-            // holds the lane, except after self-demoting).
-            if self.lane_owner.is_active() {
-                foreign_ring_pop = true;
-            } else {
-                let tag = call.caller.as_u64().wrapping_add(1);
-                if self.lane_last_producer.load(Ordering::Relaxed) == tag {
-                    let s = self.lane_streak.load(Ordering::Relaxed).saturating_add(1);
-                    self.lane_streak.store(s, Ordering::Relaxed);
-                } else {
-                    self.lane_last_producer.store(tag, Ordering::Relaxed);
-                    self.lane_streak.store(1, Ordering::Relaxed);
-                }
-            }
             self.drain_classify(now, eidx, call);
-        }
-        // Lane control, still under the drain lock so promote/demote
-        // have a single serialized site.
-        let mut lane_switched = false;
-        if foreign_ring_pop {
-            // Competition detected: fall back to the one shared queue.
-            // `Busy` (owner mid-push) just retries on the next pass —
-            // the competitor keeps pushing, so another pass is coming.
-            if matches!(self.lane_owner.try_release(), Release::Released(_)) {
-                self.stats.on_lane_demote();
-                lane_switched = true;
-            }
-            self.lane_last_producer.store(0, Ordering::Relaxed);
-            self.lane_streak.store(0, Ordering::Relaxed);
-        } else if !self.lane_owner.is_active()
-            && !self.is_closed()
-            && self.lane_streak.load(Ordering::Relaxed) >= self.lane_promote_streak
-        {
-            let tag = self.lane_last_producer.load(Ordering::Relaxed);
-            if tag != 0 && self.lane_owner.promote(tag - 1) {
-                self.stats.on_lane_promote();
-                self.lane_streak.store(0, Ordering::Relaxed);
-                self.lane_dry.store(0, Ordering::SeqCst);
-                lane_switched = true;
-            }
         }
         if drained > 0 {
             self.stats.on_drain(drained);
@@ -1401,28 +1277,18 @@ impl ObjectInner {
                     self.mgr_overloaded.store(false, Ordering::SeqCst);
                 }
             }
-        }
-        // A batch of ≥ 2 is proof of concurrent callers: promote the
-        // manager to storm mode (yield-poll instead of park, see
-        // `wait_for_work`) so the whole group is served on scheduler
-        // rotation without futex traffic. A lone synchronous caller never
-        // has two calls in flight and thus never triggers this.
-        if drained >= 2 {
+            // Any drained call turns on poll mode (yield-poll instead of
+            // park, see `wait_for_work`): its caller, or a concurrent
+            // one, is likely to submit again within one reply round trip,
+            // and catching that push by polling saves the futex wake.
             self.mgr_poll.store(true, Ordering::SeqCst);
-        }
-        drop(_g);
-        // Commit point, *after* releasing the drain lock: the lane just
-        // changed hands and the old/new owner's next push races the
-        // manager observing the switch.
-        if lane_switched {
-            self.rt.sim_point(CommitPoint::LaneSwitch);
         }
     }
 
-    /// Pop one undrained call — lane first, like the drain — and drop its
-    /// `in_ring` count. For the sweeps, which hold `intake_drain`.
+    /// Pop one undrained call and drop its `in_ring` count. For the
+    /// sweeps, which hold `intake_drain`.
     fn pop_for_sweep(&self) -> Option<Arc<CallCell>> {
-        let (eidx, call) = self.lane.pop().or_else(|| self.intake.pop())?;
+        let (eidx, call) = self.intake.pop()?;
         self.estates[eidx as usize]
             .in_ring
             .fetch_sub(1, Ordering::SeqCst);
@@ -1438,11 +1304,6 @@ impl ObjectInner {
             self.complete(&call, Err(self.closed_err()));
             popped = true;
         }
-        // The lane will never be drained again; best-effort release so
-        // ownership state doesn't outlive the object's service life. A
-        // `Busy` owner mid-push is fine: it observes `closed` after its
-        // own fence and re-enters this sweep for its item.
-        let _ = self.lane_owner.try_release();
         if popped {
             // Backpressured producers must not stay parked on a ring that
             // will never drain again.
@@ -1539,11 +1400,6 @@ impl ObjectInner {
                     self.complete(&call, Err(self.restarting_err()));
                 }
             }
-            // Demote across the restart: the post-restart world starts
-            // from the plain MPSC route and re-earns the lane. A `Busy`
-            // owner's straggler push linearizes after the restart and is
-            // classified by the new generation's first drain.
-            let _ = self.lane_owner.try_release();
         }
         for (entry, sync) in self.estates.iter().enumerate() {
             let mut victims: Vec<Arc<CallCell>> = Vec::new();
@@ -1779,7 +1635,6 @@ pub struct ObjectBuilder {
     admission: AdmissionPolicy,
     intake_capacity: Option<usize>,
     affinity_hint: Option<usize>,
-    lane_promote_after: Option<u32>,
 }
 
 impl fmt::Debug for ObjectBuilder {
@@ -1809,7 +1664,6 @@ impl ObjectBuilder {
             admission: AdmissionPolicy::default(),
             intake_capacity: None,
             affinity_hint: None,
-            lane_promote_after: None,
         }
     }
 
@@ -1830,16 +1684,6 @@ impl ObjectBuilder {
     /// default, but an explicit per-shard choice from the factory wins.
     pub(crate) fn default_affinity_hint(mut self, worker: usize) -> Self {
         self.affinity_hint.get_or_insert(worker);
-        self
-    }
-
-    /// Override how many consecutive intake-ring pushes from the same
-    /// producer promote that caller to the private SPSC fast lane
-    /// (default [`tuning::LANE_PROMOTE_STREAK`]). Tests use small values
-    /// to force promotion deterministically; `u32::MAX` disables the
-    /// lane for the whole object.
-    pub fn lane_promote_after(mut self, streak: u32) -> Self {
-        self.lane_promote_after = Some(streak);
         self
     }
 
@@ -2050,14 +1894,6 @@ impl ObjectBuilder {
                     .unwrap_or_else(|| (total * 8).next_power_of_two().clamp(64, 1024)),
             ),
             intake_drain: Mutex::new(()),
-            lane: SpscLane::with_capacity(tuning::LANE_CAP),
-            lane_owner: LaneOwner::new(),
-            lane_last_producer: AtomicU64::new(0),
-            lane_streak: AtomicU32::new(0),
-            lane_dry: AtomicU32::new(0),
-            lane_promote_streak: self
-                .lane_promote_after
-                .unwrap_or(tuning::LANE_PROMOTE_STREAK),
             mgr_active: AtomicBool::new(true),
             mgr_poll: AtomicBool::new(false),
             generation: AtomicU64::new(0),

@@ -18,7 +18,7 @@
 //!
 //! Emitted objects are ordinary `ObjectBuilder` products: supervision,
 //! deadlines/retry (`call_id_deadline`/`call_id_retry` on
-//! [`Compiled::handle`]), `ShardedBuilder` spread, and the SPSC lane all
+//! [`Compiled::handle`]), `ShardedBuilder` spread, and manager poll mode all
 //! apply unchanged.
 //!
 //! Observable behaviour (print output, error positions, channel and

@@ -4,7 +4,7 @@
 //! [`SchedPolicy::PriorityRandom`]. Following "Process algebra with
 //! strategic interleaving" (PAPERS.md), this module makes the sim
 //! scheduler *strategy pluggable* and perturbs schedules around the
-//! protocol's **commit points** — the five places the call protocol
+//! protocol's **commit points** — the four places the call protocol
 //! actually commits a racy decision (see [`CommitPoint`]).
 //!
 //! Three layers live here:
@@ -34,7 +34,7 @@ use std::panic::AssertUnwindSafe;
 
 use crate::executor::{SchedPolicy, SimRuntime};
 
-/// The five places the call protocol commits a racy decision. Annotated
+/// The four places the call protocol commits a racy decision. Annotated
 /// in `alps-core` via [`Runtime::sim_point`](crate::Runtime::sim_point)
 /// — a no-op on real executors, one branch on the sim executor, where a
 /// strategy may inject a bounded virtual delay to perturb the schedule
@@ -47,10 +47,10 @@ use crate::executor::{SchedPolicy, SimRuntime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CommitPoint {
-    /// A caller is about to publish a call into the intake ring or the
-    /// SPSC fast lane (`submit_call`).
+    /// A caller is about to publish a call into the intake ring
+    /// (`publish`).
     IntakePush = 1,
-    /// The manager is about to drain the lane + intake ring
+    /// The manager is about to drain the intake ring
     /// (`drain_intake`, before taking the drain lock).
     RingDrain = 2,
     /// The finish-vs-cancel CAS on a call cell: annotated on both sides
@@ -60,19 +60,15 @@ pub enum CommitPoint {
     /// A supervised restart is about to sweep in-flight calls
     /// (`handle_body_panic`, before the restart bookkeeping).
     RestartSweep = 4,
-    /// The SPSC fast lane just changed hands: a promote or demote
-    /// decision was published (after the drain lock is released).
-    LaneSwitch = 5,
 }
 
 impl CommitPoint {
     /// Every commit point, in code order.
-    pub const ALL: [CommitPoint; 5] = [
+    pub const ALL: [CommitPoint; 4] = [
         CommitPoint::IntakePush,
         CommitPoint::RingDrain,
         CommitPoint::FinishCas,
         CommitPoint::RestartSweep,
-        CommitPoint::LaneSwitch,
     ];
 
     /// Stable numeric code, folded into coverage/decision hashes.
@@ -87,7 +83,6 @@ impl CommitPoint {
             CommitPoint::RingDrain => "ring-drain",
             CommitPoint::FinishCas => "finish-cas",
             CommitPoint::RestartSweep => "restart-sweep",
-            CommitPoint::LaneSwitch => "lane-switch",
         }
     }
 }
