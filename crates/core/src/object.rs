@@ -986,11 +986,21 @@ impl ObjectInner {
 
     /// The full blocking call protocol: validate, attach or queue, wait
     /// for the reply.
+    ///
+    /// With `ticks`, the reply wait is bounded by that many virtual
+    /// microseconds. On expiry the caller claims its cell back
+    /// (`CALL_WAITING → CALL_CANCELLED`), proactively removes it from the
+    /// wait queue or an `Attached` slot if it is still reachable there,
+    /// and returns [`AlpsError::Timeout`]; a cell the manager already owns
+    /// — in the intake ring, `Accepted`, or `Started` — is reclaimed
+    /// lazily by whichever holder touches it next (drain tombstone, losing
+    /// `finish` CAS, shutdown sweep).
     pub(crate) fn call_protocol(
         self: &Arc<Self>,
         entry: usize,
         args: ValVec,
         external: bool,
+        ticks: Option<u64>,
     ) -> Result<ValVec> {
         let t_call = self.admit(entry, &args, external)?;
         let intercepted = self.entries[entry].intercept.is_some();
@@ -998,7 +1008,9 @@ impl ObjectInner {
         // runs its body inline in this process — the caller would block
         // for the result anyway, so this is observationally the same
         // rendezvous minus the pool hand-off and two park/unpark pairs,
-        // and it touches no heap at all.
+        // and it touches no heap at all. Once the body starts, it runs to
+        // completion: a deadline bounds *waiting*, never execution
+        // already underway.
         if !intercepted {
             if let Some(i) = self.claim_inline(entry)? {
                 return self.run_inline(entry, i, args, t_call);
@@ -1008,25 +1020,38 @@ impl ObjectInner {
         // Intercepted entries submit through the lock-free intake ring,
         // which the manager drains in batches.
         let call = self.acquire_cell(args, self.rt.current(), t_call);
+        let deadline = ticks.map(|t| t_call.saturating_add(t));
         let r = if intercepted {
             self.publish(entry, &call)
         } else {
             self.queue_implicit(entry, &call)
         }
-        .and_then(|()| self.wait_for_reply(&call, intercepted));
+        .and_then(|()| self.wait_for_reply(&call, entry, intercepted, deadline));
         self.release_cell(call);
         r
     }
 
-    /// Block until `call` completes, adaptively: a short pure-spin burst,
-    /// then — while the manager is awake — bounded yielding sized by the
-    /// service-time EWMA, then announce (`waiting = true`) and park.
+    /// Block until `call` completes or `deadline` passes, adaptively: a
+    /// short pure-spin burst, then — while the manager is awake and the
+    /// deadline has not passed — bounded yielding sized by the
+    /// service-time EWMA, then announce (`waiting = true`) and park, with
+    /// a timer when there is a deadline.
     ///
     /// `adaptive` is false for non-ring waits (queued implicit calls,
     /// whose completer is a pool worker, not the manager) and the
     /// spin/yield phases are skipped entirely on the simulation executor,
     /// where a blocked process can never observe progress by spinning.
-    fn wait_for_reply(&self, call: &Arc<CallCell>, adaptive: bool) -> Result<ValVec> {
+    ///
+    /// On expiry the caller races the completer with a `cancel` CAS;
+    /// losing the race means the result was published first and is taken
+    /// normally.
+    fn wait_for_reply(
+        self: &Arc<Self>,
+        call: &Arc<CallCell>,
+        entry: usize,
+        adaptive: bool,
+        deadline: Option<u64>,
+    ) -> Result<ValVec> {
         if adaptive && !self.rt.is_sim() {
             let mut sw = SpinWait::new(tuning::CALLER_SPIN_ROUNDS);
             while sw.spin() {
@@ -1041,7 +1066,10 @@ impl ObjectInner {
             // service round is expected to take (EWMA is in ticks = µs).
             let budget = tuning::caller_yield_budget(self.stats.ewma_service_ticks());
             let mut spent = 0;
-            while spent < budget && self.mgr_active.load(Ordering::SeqCst) {
+            while spent < budget
+                && self.mgr_active.load(Ordering::SeqCst)
+                && deadline.is_none_or(|d| self.rt.now() < d)
+            {
                 if let Some(r) = call.try_take() {
                     self.stats.on_spin_resolved();
                     return r;
@@ -1051,98 +1079,57 @@ impl ObjectInner {
             }
         }
         call.waiting.store(true, Ordering::SeqCst);
-        loop {
+        let r = loop {
             if let Some(r) = call.try_take() {
-                if adaptive {
-                    self.stats.on_park_resolved();
-                }
-                return r;
+                break r;
             }
-            self.rt.park();
-        }
-    }
-
-    /// Deadline-bounded variant of [`call_protocol`](Self::call_protocol):
-    /// the same protocol, but the reply wait is bounded by `ticks` virtual
-    /// microseconds. On expiry the caller claims its cell back
-    /// (`CALL_WAITING → CALL_CANCELLED`), proactively removes it from the
-    /// wait queue or an `Attached` slot if it is still reachable there,
-    /// and returns [`AlpsError::Timeout`]; a cell the manager already owns
-    /// — in the intake ring, `Accepted`, or `Started` — is reclaimed
-    /// lazily by whichever holder touches it next (drain tombstone, losing
-    /// `finish` CAS, shutdown sweep).
-    ///
-    /// Kept as a separate function rather than an `Option<deadline>`
-    /// parameter so the no-deadline warm path carries zero extra loads or
-    /// branches.
-    pub(crate) fn call_protocol_deadline(
-        self: &Arc<Self>,
-        entry: usize,
-        args: ValVec,
-        external: bool,
-        ticks: u64,
-    ) -> Result<ValVec> {
-        let t_call = self.admit(entry, &args, external)?;
-        let deadline = t_call.saturating_add(ticks);
-        let intercepted = self.entries[entry].intercept.is_some();
-        // Inline fast path: once the body starts, it runs to completion
-        // in this very process — the deadline bounds *waiting*, never
-        // execution already underway.
-        if !intercepted {
-            if let Some(i) = self.claim_inline(entry)? {
-                return self.run_inline(entry, i, args, t_call);
-            }
-        }
-        let call = self.acquire_cell(args, self.rt.current(), t_call);
-        let r = if intercepted {
-            self.publish(entry, &call)
-        } else {
-            self.queue_implicit(entry, &call)
-        }
-        .and_then(|()| self.wait_for_reply_deadline(&call, entry, deadline, ticks));
-        self.release_cell(call);
-        r
-    }
-
-    /// Deadline-bounded reply wait. No spin/yield phase: a caller that
-    /// opted into a deadline is latency-tolerant by definition, so it
-    /// announces and parks with a timer straight away. On expiry it races
-    /// the completer with a `cancel` CAS; losing the race means the result
-    /// was published first and is taken normally.
-    fn wait_for_reply_deadline(
-        self: &Arc<Self>,
-        call: &Arc<CallCell>,
-        entry: usize,
-        deadline: u64,
-        budget: u64,
-    ) -> Result<ValVec> {
-        call.waiting.store(true, Ordering::SeqCst);
-        loop {
-            if let Some(r) = call.try_take() {
-                return r;
-            }
+            let Some(deadline) = deadline else {
+                self.rt.park();
+                continue;
+            };
             let now = self.rt.now();
             if now >= deadline {
-                // Commit point: the cancel CAS below races the
-                // completer's `finish` CAS. A strategy preempting here
-                // widens the window in which the manager can win.
-                self.rt.sim_point(CommitPoint::FinishCas);
-                if call.cancel() {
-                    self.stats.on_timeout();
-                    self.reap_cancelled(entry, call);
-                    return Err(AlpsError::Timeout {
-                        what: self.entries[entry].name.clone(),
-                        ticks: budget,
-                    });
+                if let Some(timeout) = self.cancel_expired(call, entry, deadline) {
+                    return Err(timeout);
                 }
                 // Lost the race: `finish` publishes the result before its
                 // CAS, so a failed cancel means the result is visible now.
-                return call
+                break call
                     .try_take()
                     .expect("completer won the state CAS, result published");
             }
             self.rt.park_timeout(deadline - now);
+        };
+        if adaptive {
+            self.stats.on_park_resolved();
         }
+        r
+    }
+
+    /// The deadline passed: try to claim the cell back. Returns the
+    /// `Timeout` to report, or `None` when the completer delivered first.
+    /// Out of line so the reply wait that every call runs stays small.
+    #[cold]
+    #[inline(never)]
+    fn cancel_expired(
+        self: &Arc<Self>,
+        call: &Arc<CallCell>,
+        entry: usize,
+        deadline: u64,
+    ) -> Option<AlpsError> {
+        // Commit point: the cancel CAS below races the completer's
+        // `finish` CAS. A strategy preempting here widens the window in
+        // which the manager can win.
+        self.rt.sim_point(CommitPoint::FinishCas);
+        if !call.cancel() {
+            return None;
+        }
+        self.stats.on_timeout();
+        self.reap_cancelled(entry, call);
+        Some(AlpsError::Timeout {
+            what: self.entries[entry].name.clone(),
+            ticks: deadline.saturating_sub(call.t_call),
+        })
     }
 
     /// Best-effort immediate cleanup after a caller-side cancellation:
@@ -1970,7 +1957,7 @@ impl Target for LocalAttempt<'_> {
     fn attempt(&mut self, ticks: u64) -> Result<ValVec> {
         self.seen = self.inner.notifier.epoch();
         self.inner
-            .call_protocol_deadline(self.entry, self.args.clone(), true, ticks)
+            .call_protocol(self.entry, self.args.clone(), true, Some(ticks))
     }
 
     /// A refused call returns without a scheduling point, so a
@@ -2110,7 +2097,7 @@ impl ObjectHandle {
     pub fn call_id(&self, id: EntryId, args: impl Into<ValVec>) -> Result<ValVec> {
         self.core
             .inner
-            .call_protocol(self.index(id)?, args.into(), true)
+            .call_protocol(self.index(id)?, args.into(), true, None)
     }
 
     /// Like [`call`](Self::call), but give up after `ticks` virtual
@@ -2145,7 +2132,7 @@ impl ObjectHandle {
     ) -> Result<ValVec> {
         self.core
             .inner
-            .call_protocol_deadline(self.index(id)?, args.into(), true, ticks)
+            .call_protocol(self.index(id)?, args.into(), true, Some(ticks))
     }
 
     /// Like [`call_deadline`](Self::call_deadline), but retry *transient*
@@ -2221,7 +2208,7 @@ impl ObjectHandle {
     pub fn call_from_inside_id(&self, id: EntryId, args: impl Into<ValVec>) -> Result<ValVec> {
         self.core
             .inner
-            .call_protocol(self.index(id)?, args.into(), false)
+            .call_protocol(self.index(id)?, args.into(), false, None)
     }
 
     /// `#P` for an entry: calls attached-but-unaccepted plus queued

@@ -506,7 +506,49 @@ fn deadline_calls_work_threaded() {
     let rt = Runtime::threaded();
     let obj = never_accepting_object(&rt);
     let err = obj.call_deadline("P", vals![1i64], 20_000).unwrap_err();
-    assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+    assert!(
+        matches!(err, AlpsError::Timeout { ticks: 20_000, .. }),
+        "{err:?}"
+    );
     assert_eq!(obj.stats().timeouts(), 1);
+    obj.shutdown();
+}
+
+/// A deadline-bounded caller waits like any other caller: it spins and
+/// yields before it parks, so its wait counts in the spin/park split
+/// (`core.spin_share`). `deadline_calls_work_threaded` covers the call
+/// nobody answers.
+#[test]
+fn deadline_waits_spin_before_parking_threaded() {
+    let rt = Runtime::threaded();
+    let obj = ObjectBuilder::new("Managed")
+        .entry(
+            EntryDef::new("P")
+                .params([Ty::Int])
+                .results([Ty::Int])
+                .intercepted()
+                .body(|_ctx, args| Ok(vec![args[0].clone()])),
+        )
+        .manager(|mgr| loop {
+            let acc = mgr.accept("P")?;
+            mgr.execute(acc)?;
+        })
+        .spawn(&rt)
+        .unwrap();
+    let p = obj.entry_id("P").unwrap();
+    for i in 0..200i64 {
+        let r = obj.call_id_deadline(p, vals![i], 5_000_000).unwrap();
+        assert_eq!(r[0], Value::Int(i));
+    }
+    // The manager counts at most one spin- or park-resolved wait per
+    // wakeup, so whatever exceeds its wakeups was counted by callers.
+    let s = obj.stats();
+    let waits = s.spin_resolved() + s.park_resolved();
+    assert!(
+        waits > s.mgr_wakeups(),
+        "deadline waits uncounted: {waits} waits, {} manager wakeups",
+        s.mgr_wakeups()
+    );
+    assert_eq!(s.timeouts(), 0);
     obj.shutdown();
 }

@@ -25,15 +25,26 @@
 //! moment of death are swept with `LinkLost` — they never hang on a
 //! connection that no longer exists, mirroring how a supervised
 //! restart sweeps its in-flight calls with `ObjectRestarting`.
+//!
+//! # Reading replies
+//!
+//! No process of its own reads a connection. A caller waiting for its
+//! reply takes the connection's *reader role* if nobody holds it: it
+//! reads frames, fills the reply slots of whichever calls they answer,
+//! and hands the role on (with a notify) once its own reply lands, its
+//! deadline passes, or the link dies. A lone caller therefore reads its
+//! own reply, with no hand-off to another process. The price is that a
+//! link dying while no call is in flight goes unnoticed until the next
+//! call reads it; that call fails with the retryable `LinkLost`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alps_core::{retry, AlpsError, Backoff, Result, RetryPolicy, Target, ValVec, Value};
 use alps_runtime::metrics::Counter;
-use alps_runtime::{Chan, Notifier, Runtime, Spawn};
+use alps_runtime::{Chan, Notifier, Runtime};
 use parking_lot::Mutex;
 
 use crate::fault::{NetFault, NetFaultPlan};
@@ -202,12 +213,20 @@ enum Conn {
     Down,
     /// Somebody is dialing; park on the notifier until it resolves.
     Connecting,
-    /// Live link with its handshake-interned entry table.
-    Up {
-        epoch: u64,
-        link: Arc<dyn Link>,
-        entries: Arc<HashMap<String, u32>>,
-    },
+    /// Live link.
+    Up(Arc<Live>),
+}
+
+/// An established connection.
+struct Live {
+    epoch: u64,
+    link: Arc<dyn Link>,
+    /// The handshake-interned entry table.
+    entries: HashMap<String, u32>,
+    /// Held by the one caller currently reading `link` (see the module
+    /// docs' "Reading replies"). It only elects the reader: the link's
+    /// own lock guards its read state, so the flag publishes no data.
+    reading: AtomicBool,
 }
 
 /// A caller parked on a reply slot.
@@ -477,8 +496,8 @@ impl RemoteInner {
     }
 
     /// One wire attempt: ensure a connection, send the call, wait for
-    /// the reply slot to fill (by the reader, or by the link-death
-    /// sweep), bounded by `deadline`.
+    /// the reply slot to fill (by whichever caller holds the reader role,
+    /// or by the link-death sweep), bounded by `deadline`.
     fn attempt(
         self: &Arc<Self>,
         wire_id: u64,
@@ -486,8 +505,8 @@ impl RemoteInner {
         args: ValVec,
         deadline: Option<u64>,
     ) -> Result<ValVec> {
-        let (epoch, link, entries) = self.ensure_up(deadline)?;
-        let Some(&entry_idx) = entries.get(entry) else {
+        let live = self.ensure_up(deadline)?;
+        let Some(&entry_idx) = live.entries.get(entry) else {
             return Err(AlpsError::UnknownEntry {
                 object: self.object.clone(),
                 entry: entry.to_string(),
@@ -498,10 +517,7 @@ impl RemoteInner {
             Some(d) => {
                 let rem = d.saturating_sub(self.rt.now());
                 if rem == 0 {
-                    return Err(AlpsError::Timeout {
-                        what: entry.to_string(),
-                        ticks: 0,
-                    });
+                    return Err(timed_out(entry));
                 }
                 rem
             }
@@ -527,18 +543,18 @@ impl RemoteInner {
         });
         self.pending.lock().insert(wire_id, Arc::clone(&slot));
 
-        if link.send(&frame).is_err() {
+        if live.link.send(&frame).is_err() {
             self.pending.lock().remove(&wire_id);
-            self.mark_down(epoch, &link);
+            self.mark_down(&live);
             return Err(self.link_lost());
         }
         self.stats.sent.incr();
 
-        // The reader may have died and swept `pending` *before* our
-        // insert (the sweep only sees slots present at death). If the
-        // epoch has moved on, nobody will ever fill our slot: resolve it
-        // ourselves.
-        if self.conn_epoch.load(Ordering::Acquire) != epoch {
+        // A reader may have found the link dead and swept `pending`
+        // *before* our insert (the sweep only sees slots present at
+        // death). If the epoch has moved on, nobody will ever fill our
+        // slot: resolve it ourselves.
+        if self.conn_epoch.load(Ordering::Acquire) != live.epoch {
             let mut r = slot.result.lock();
             if r.is_none() {
                 *r = Some(Err(self.link_lost()));
@@ -554,47 +570,79 @@ impl RemoteInner {
                 }
                 return result;
             }
+            if deadline.is_some_and(|d| self.rt.now() >= d) {
+                self.pending.lock().remove(&wire_id);
+                return Err(timed_out(entry));
+            }
+            if live
+                .reading
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                self.read_replies(&live, &slot, deadline);
+                live.reading.store(false, Ordering::Release);
+                // Hand the role on: a caller still waiting may need a
+                // reader to deliver its reply.
+                self.notifier.notify(&self.rt);
+                continue;
+            }
             match deadline {
                 None => self.notifier.wait_past(&self.rt, seen),
                 Some(d) => {
-                    if self.rt.now() >= d {
-                        self.pending.lock().remove(&wire_id);
-                        return Err(AlpsError::Timeout {
-                            what: entry.to_string(),
-                            ticks: d.saturating_sub(self.rt.now()),
-                        });
-                    }
                     self.notifier.wait_past_deadline(&self.rt, seen, d);
-                    if self.rt.now() >= d && slot.result.lock().is_none() {
-                        self.pending.lock().remove(&wire_id);
-                        return Err(AlpsError::Timeout {
-                            what: entry.to_string(),
-                            ticks: 0,
-                        });
-                    }
                 }
             }
+        }
+    }
+
+    /// The reader role: read frames off `live`'s link and fill the slot
+    /// of whichever pending call each reply answers, until `mine` is
+    /// filled, `deadline` passes, or the link dies (which sweeps every
+    /// pending slot, `mine` included).
+    fn read_replies(&self, live: &Live, mine: &PendingCall, deadline: Option<u64>) {
+        while mine.result.lock().is_none() {
+            let timeout = match deadline {
+                None => None,
+                Some(d) => match d.saturating_sub(self.rt.now()) {
+                    0 => return,
+                    left => Some(left),
+                },
+            };
+            let bytes = match live.link.recv(timeout) {
+                Ok(Some(bytes)) => bytes,
+                Ok(None) => return,
+                Err(_) => return self.mark_down(live),
+            };
+            let Ok((Frame::Reply { call, result }, _)) = decode_frame(&bytes) else {
+                // Corruption or a protocol breach: the stream is
+                // untrustworthy.
+                return self.mark_down(live);
+            };
+            // Unknown call id: a reply for a caller that already timed
+            // out and left. Dropped on the floor by design.
+            if let Some(slot) = self.pending.lock().get(&call).cloned() {
+                let mut r = slot.result.lock();
+                // First writer wins: a duplicated reply frame (or a
+                // replay racing the original) must not clobber a result
+                // its caller is about to read.
+                if r.is_none() {
+                    *r = Some(result.map_err(|w| wire_to_err(&w)));
+                }
+            }
+            self.notifier.notify(&self.rt);
         }
     }
 
     /// Get the live connection, dialing if necessary. The first caller
     /// to find the connection `Down` becomes the reconnector; everyone
     /// else parks on the notifier until the episode resolves.
-    #[allow(clippy::type_complexity)]
-    fn ensure_up(
-        self: &Arc<Self>,
-        deadline: Option<u64>,
-    ) -> Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>)> {
+    fn ensure_up(self: &Arc<Self>, deadline: Option<u64>) -> Result<Arc<Live>> {
         loop {
             let seen = self.notifier.epoch();
             {
                 let mut conn = self.conn.lock();
                 match &*conn {
-                    Conn::Up {
-                        epoch,
-                        link,
-                        entries,
-                    } => return Ok((*epoch, Arc::clone(link), Arc::clone(entries))),
+                    Conn::Up(live) => return Ok(Arc::clone(live)),
                     Conn::Connecting => {}
                     Conn::Down => {
                         *conn = Conn::Connecting;
@@ -627,11 +675,7 @@ impl RemoteInner {
     /// with the connection in `Connecting` (never holding the lock
     /// across blocking work); always resolves the state before
     /// returning.
-    #[allow(clippy::type_complexity)]
-    fn reconnect_episode(
-        self: &Arc<Self>,
-        deadline: Option<u64>,
-    ) -> Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>)> {
+    fn reconnect_episode(self: &Arc<Self>, deadline: Option<u64>) -> Result<Arc<Live>> {
         let attempts = self.reconnect.max_attempts.max(1);
         let mut outcome = Err(self.link_lost());
         for k in 0..attempts {
@@ -665,30 +709,19 @@ impl RemoteInner {
                 }
             }
         }
-        let mut conn = self.conn.lock();
-        match &outcome {
-            Ok((epoch, link, entries)) => {
-                *conn = Conn::Up {
-                    epoch: *epoch,
-                    link: Arc::clone(link),
-                    entries: Arc::clone(entries),
-                };
-            }
-            Err(_) => *conn = Conn::Down,
-        }
-        drop(conn);
+        *self.conn.lock() = match &outcome {
+            Ok(live) => Conn::Up(Arc::clone(live)),
+            Err(_) => Conn::Down,
+        };
         self.notifier.notify(&self.rt);
         outcome
     }
 
     /// One dial + handshake. The handshake runs on the *raw* link
     /// (fault injection starts at steady state — see
-    /// [`RemoteHandle::with_fault`]); the reader daemon is spawned on
-    /// the possibly-faulty wrapped link.
-    #[allow(clippy::type_complexity)]
-    fn dial_once(
-        self: &Arc<Self>,
-    ) -> std::result::Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>), DialError> {
+    /// [`RemoteHandle::with_fault`]); calls run on the possibly-faulty
+    /// wrapped link.
+    fn dial_once(&self) -> std::result::Result<Arc<Live>, DialError> {
         let raw = self.connector.connect().map_err(|_| DialError::Io)?;
         let hello = encode_frame(&Frame::Hello {
             version: PROTO_VERSION,
@@ -697,7 +730,10 @@ impl RemoteInner {
         })
         .expect("hello frames always encode");
         raw.send(&hello).map_err(|_| DialError::Io)?;
-        let ack = raw.recv().map_err(|_| DialError::Io)?;
+        let ack = match raw.recv(None) {
+            Ok(Some(ack)) => ack,
+            _ => return Err(DialError::Io),
+        };
         let entries = match decode_frame(&ack) {
             Ok((Frame::HelloAck { entries }, _)) => entries,
             Ok((Frame::HelloErr { err }, _)) => {
@@ -705,7 +741,6 @@ impl RemoteInner {
             }
             _ => return Err(DialError::Io),
         };
-        let table: Arc<HashMap<String, u32>> = Arc::new(entries.into_iter().collect());
         let link: Arc<dyn Link> = match &self.fault {
             Some(fault) => {
                 fault.revive();
@@ -715,50 +750,21 @@ impl RemoteInner {
         };
         let epoch = self.conn_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.stats.reconnects.incr();
-        let reader = Arc::clone(self);
-        let rlink = Arc::clone(&link);
-        self.rt.spawn_with(
-            Spawn::new(format!("net.reader.{epoch}")).daemon(true),
-            move || reader.read_loop(epoch, rlink),
-        );
-        Ok((epoch, link, table))
+        Ok(Arc::new(Live {
+            epoch,
+            link,
+            entries: entries.into_iter().collect(),
+            reading: AtomicBool::new(false),
+        }))
     }
 
-    /// Per-connection reader: fills reply slots until the link dies,
-    /// then sweeps every still-empty slot with `LinkLost` — an in-flight
-    /// call never hangs on a connection that no longer exists.
-    fn read_loop(self: Arc<Self>, epoch: u64, link: Arc<dyn Link>) {
-        while let Ok(bytes) = link.recv() {
-            match decode_frame(&bytes) {
-                Ok((Frame::Reply { call, result }, _)) => {
-                    let mapped = result.map_err(|w| wire_to_err(&w));
-                    if let Some(slot) = self.pending.lock().get(&call).cloned() {
-                        let mut r = slot.result.lock();
-                        // First writer wins: a duplicated reply frame (or
-                        // a replay racing the original) must not clobber
-                        // a result the caller is about to read.
-                        if r.is_none() {
-                            *r = Some(mapped);
-                        }
-                    }
-                    // Unknown call id: a reply for a caller that already
-                    // timed out and left. Dropped on the floor by design.
-                    self.notifier.notify(&self.rt);
-                }
-                Ok(_) => break,  // protocol breach
-                Err(_) => break, // corruption: the stream is untrustworthy
-            }
-        }
-        self.mark_down(epoch, &link);
-    }
-
-    /// Move the connection to `Down` (if `epoch` is still current) and
+    /// Move the connection to `Down` (if `live` is still current) and
     /// sweep in-flight calls with `LinkLost`.
-    fn mark_down(&self, epoch: u64, link: &Arc<dyn Link>) {
-        link.shutdown();
+    fn mark_down(&self, live: &Live) {
+        live.link.shutdown();
         {
             let mut conn = self.conn.lock();
-            if matches!(&*conn, Conn::Up { epoch: e, .. } if *e == epoch) {
+            if matches!(&*conn, Conn::Up(cur) if cur.epoch == live.epoch) {
                 *conn = Conn::Down;
             }
         }
@@ -777,6 +783,13 @@ impl RemoteInner {
             self.stats.link_losses.add(lost);
         }
         self.notifier.notify(&self.rt);
+    }
+}
+
+fn timed_out(what: &str) -> AlpsError {
+    AlpsError::Timeout {
+        what: what.to_string(),
+        ticks: 0,
     }
 }
 

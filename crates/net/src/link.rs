@@ -2,8 +2,9 @@
 //! produced by [`encode_frame`](crate::wire::encode_frame)) between two
 //! endpoints:
 //!
-//! * [`TcpLink`] — loopback or real TCP, for the 2-process case.
-//! * [`UnixLink`] — Unix-domain sockets, same framing (unix only).
+//! * [`StreamLink`] — any byte stream: [`TcpLink`] (loopback or real
+//!   TCP, for the 2-process case) and [`UnixLink`] (Unix-domain sockets,
+//!   unix only), with the same framing.
 //! * [`MemLink`] — a pair of runtime [`Chan`]s, so the *entire* client ↔
 //!   server protocol (handshake, calls, reconnects) runs inside one
 //!   deterministic simulation.
@@ -16,8 +17,9 @@
 
 use std::io;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use alps_runtime::{Chan, Runtime};
+use alps_runtime::{Chan, Notifier, Runtime};
 use parking_lot::Mutex;
 
 use crate::fault::{NetFault, RecvPlan, SendPlan};
@@ -25,9 +27,9 @@ use crate::wire::{HEADER_LEN, MAX_FRAME};
 
 /// A bidirectional whole-frame transport.
 ///
-/// `recv` blocks until a frame, EOF, or transport error; `shutdown` must
-/// unblock any blocked `recv` (that is how connection supervision tears a
-/// link down from outside).
+/// `recv` blocks until a frame, EOF, transport error, or its timeout;
+/// `shutdown` must unblock any blocked `recv` (that is how connection
+/// supervision tears a link down from outside).
 pub trait Link: Send + Sync {
     /// Send one encoded frame.
     ///
@@ -37,13 +39,16 @@ pub trait Link: Send + Sync {
     /// send error as link death.
     fn send(&self, frame: &[u8]) -> io::Result<()>;
 
-    /// Receive one whole frame (header + body).
+    /// Receive one whole frame (header + body). With `Some(ticks)`, give
+    /// up after about that many ticks and return `Ok(None)`; no byte is
+    /// lost by giving up, so the next `recv` carries on where this one
+    /// stopped. `None` waits for as long as it takes.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::UnexpectedEof`] on orderly close; anything else
     /// on transport failure. Both mean the link is dead.
-    fn recv(&self) -> io::Result<Vec<u8>>;
+    fn recv(&self, timeout_ticks: Option<u64>) -> io::Result<Option<Vec<u8>>>;
 
     /// Tear the link down, unblocking any blocked [`recv`](Link::recv).
     fn shutdown(&self);
@@ -56,14 +61,147 @@ fn eof() -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, "link closed")
 }
 
-// ------------------------------------------------------------------ tcp
+// --------------------------------------------------------------- stream
 
-/// A [`Link`] over a TCP stream. Reader and writer sides are guarded by
+/// A byte stream a [`StreamLink`] can carry frames over.
+pub trait Stream: io::Read + io::Write + Send + 'static {
+    /// Bound each blocking `read` (`None`: block indefinitely).
+    ///
+    /// # Errors
+    ///
+    /// As the socket option call.
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+
+    /// Shut both directions down, unblocking a blocked `read`.
+    fn shutdown(&self);
+}
+
+impl Stream for std::net::TcpStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        std::net::TcpStream::set_read_timeout(self, timeout)
+    }
+
+    fn shutdown(&self) {
+        let _ = std::net::TcpStream::shutdown(self, std::net::Shutdown::Both);
+    }
+}
+
+#[cfg(unix)]
+impl Stream for std::os::unix::net::UnixStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
+    }
+
+    fn shutdown(&self) {
+        let _ = std::os::unix::net::UnixStream::shutdown(self, std::net::Shutdown::Both);
+    }
+}
+
+/// A [`Link`] over a byte stream. Reader and writer sides are guarded by
 /// separate locks so a blocked `recv` never starves `send`.
-pub struct TcpLink {
-    reader: Mutex<std::net::TcpStream>,
-    writer: Mutex<std::net::TcpStream>,
+///
+/// The reader keeps its bytes in a reassembly buffer that only grows, so
+/// once it has held a frame of a given size one `read` call brings in a
+/// whole frame of that size (or several), and a `recv` that times out
+/// in the middle of a frame keeps the bytes it has for the next `recv`.
+/// The buffer is as long as the largest frame the link has received, so
+/// a link holds at most `HEADER_LEN + MAX_FRAME` bytes (just over 1 MiB)
+/// until it is dropped.
+pub struct StreamLink<S> {
+    reader: Mutex<Reassembly<S>>,
+    writer: Mutex<S>,
     peer: String,
+}
+
+/// A [`StreamLink`] over TCP.
+pub type TcpLink = StreamLink<std::net::TcpStream>;
+
+/// A [`StreamLink`] over a Unix-domain socket.
+#[cfg(unix)]
+pub type UnixLink = StreamLink<std::os::unix::net::UnixStream>;
+
+struct Reassembly<S> {
+    stream: S,
+    /// `buf[..filled]` holds bytes read but not yet returned as frames.
+    buf: Vec<u8>,
+    filled: usize,
+    /// The stream's current read timeout (`None`: blocks).
+    timeout: Option<Duration>,
+}
+
+impl<S: Stream> Reassembly<S> {
+    /// Cut the first whole frame off the buffer, if one is there.
+    fn take_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let total = self.frame_len()?;
+        if self.filled < total {
+            return Ok(None);
+        }
+        let frame = self.buf[..total].to_vec();
+        self.buf.copy_within(total..self.filled, 0);
+        self.filled -= total;
+        Ok(Some(frame))
+    }
+
+    /// The length of the frame being assembled, as far as the buffer
+    /// shows it: the header's declared length once the header is in,
+    /// the header's own length before.
+    fn frame_len(&self) -> io::Result<usize> {
+        if self.filled < HEADER_LEN {
+            return Ok(HEADER_LEN);
+        }
+        let b = &self.buf;
+        let len = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
+        if len > MAX_FRAME {
+            // A corrupted length prefix has desynchronized the byte
+            // stream; there is no way to find the next frame boundary.
+            // Kill the link.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("declared frame length {len} exceeds cap"),
+            ));
+        }
+        Ok(HEADER_LEN + len)
+    }
+
+    /// One `read` into the buffer, which first grows to hold at least the
+    /// rest of the frame being assembled. Returns the bytes read.
+    fn fill(&mut self) -> io::Result<usize> {
+        let want = self.frame_len()?;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        self.stream.read(&mut self.buf[self.filled..]).inspect(|n| {
+            self.filled += n;
+        })
+    }
+
+    /// Bound each `read` by `ticks` µs rounded down to a power of two,
+    /// or not at all for `None`. The socket option is set only when that
+    /// bound differs from the current one, so a run of similar deadlines
+    /// sets it once.
+    fn bound_reads(&mut self, ticks: Option<u64>) -> io::Result<()> {
+        let want = ticks.map(|t| Duration::from_micros(1 << t.max(1).ilog2()));
+        if want != self.timeout {
+            self.stream.set_read_timeout(want)?;
+            self.timeout = want;
+        }
+        Ok(())
+    }
+}
+
+impl<S: Stream> StreamLink<S> {
+    fn from_halves(reader: S, writer: S, peer: String) -> StreamLink<S> {
+        StreamLink {
+            reader: Mutex::new(Reassembly {
+                stream: reader,
+                buf: Vec::new(),
+                filled: 0,
+                timeout: None,
+            }),
+            writer: Mutex::new(writer),
+            peer,
+        }
+    }
 }
 
 impl TcpLink {
@@ -79,61 +217,8 @@ impl TcpLink {
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "tcp:?".into());
         let writer = stream.try_clone()?;
-        Ok(TcpLink {
-            reader: Mutex::new(stream),
-            writer: Mutex::new(writer),
-            peer,
-        })
+        Ok(StreamLink::from_halves(stream, writer, peer))
     }
-}
-
-fn read_exact_frame(r: &mut impl io::Read) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len > MAX_FRAME {
-        // A corrupted length prefix has desynchronized the byte stream;
-        // there is no way to find the next frame boundary. Kill the link.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("declared frame length {len} exceeds cap"),
-        ));
-    }
-    let mut frame = vec![0u8; HEADER_LEN + len];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    r.read_exact(&mut frame[HEADER_LEN..])?;
-    Ok(frame)
-}
-
-impl Link for TcpLink {
-    fn send(&self, frame: &[u8]) -> io::Result<()> {
-        use io::Write;
-        let mut w = self.writer.lock();
-        w.write_all(frame)?;
-        w.flush()
-    }
-
-    fn recv(&self) -> io::Result<Vec<u8>> {
-        read_exact_frame(&mut *self.reader.lock())
-    }
-
-    fn shutdown(&self) {
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-}
-
-// ----------------------------------------------------------------- unix
-
-/// A [`Link`] over a Unix-domain socket.
-#[cfg(unix)]
-pub struct UnixLink {
-    reader: Mutex<std::os::unix::net::UnixStream>,
-    writer: Mutex<std::os::unix::net::UnixStream>,
-    peer: String,
 }
 
 #[cfg(unix)]
@@ -150,29 +235,50 @@ impl UnixLink {
             .and_then(|a| a.as_pathname().map(|p| p.display().to_string()))
             .unwrap_or_else(|| "unix:?".into());
         let writer = stream.try_clone()?;
-        Ok(UnixLink {
-            reader: Mutex::new(stream),
-            writer: Mutex::new(writer),
-            peer,
-        })
+        Ok(StreamLink::from_halves(stream, writer, peer))
     }
 }
 
-#[cfg(unix)]
-impl Link for UnixLink {
+impl<S: Stream> Link for StreamLink<S> {
     fn send(&self, frame: &[u8]) -> io::Result<()> {
-        use io::Write;
         let mut w = self.writer.lock();
         w.write_all(frame)?;
         w.flush()
     }
 
-    fn recv(&self) -> io::Result<Vec<u8>> {
-        read_exact_frame(&mut *self.reader.lock())
+    fn recv(&self, timeout_ticks: Option<u64>) -> io::Result<Option<Vec<u8>>> {
+        // A timeout too long to represent is no timeout.
+        let until =
+            timeout_ticks.and_then(|t| Instant::now().checked_add(Duration::from_micros(t)));
+        let mut r = self.reader.lock();
+        r.bound_reads(timeout_ticks)?;
+        loop {
+            if let Some(frame) = r.take_frame()? {
+                return Ok(Some(frame));
+            }
+            match r.fill() {
+                Ok(0) => return Err(eof()),
+                Ok(_) => {}
+                // The bound is rounded down, so it can fire before our
+                // deadline: give up only once the deadline has passed.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if until.is_some_and(|u| Instant::now() >= u) {
+                        return Ok(None);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     fn shutdown(&self) {
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+        self.writer.lock().shutdown();
     }
 
     fn peer(&self) -> String {
@@ -190,6 +296,9 @@ pub struct MemLink {
     rt: Runtime,
     tx: Chan<Vec<u8>>,
     rx: Chan<Vec<u8>>,
+    /// Bumped by every send to (and the close of) `rx` once a timed
+    /// `recv` has subscribed it.
+    arrived: Notifier,
     peer: String,
 }
 
@@ -202,12 +311,14 @@ impl MemLink {
             rt: rt.clone(),
             tx: a2b.clone(),
             rx: b2a.clone(),
+            arrived: Notifier::new(),
             peer: format!("mem:{name}/server"),
         });
         let server = Arc::new(MemLink {
             rt: rt.clone(),
             tx: b2a,
             rx: a2b,
+            arrived: Notifier::new(),
             peer: format!("mem:{name}/client"),
         });
         (client, server)
@@ -221,8 +332,28 @@ impl Link for MemLink {
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "mem link closed"))
     }
 
-    fn recv(&self) -> io::Result<Vec<u8>> {
-        self.rx.recv(&self.rt).map_err(|_| eof())
+    fn recv(&self, timeout_ticks: Option<u64>) -> io::Result<Option<Vec<u8>>> {
+        let Some(ticks) = timeout_ticks else {
+            return self.rx.recv(&self.rt).map(Some).map_err(|_| eof());
+        };
+        let deadline = self.rt.now().saturating_add(ticks);
+        // Subscribing again is a no-op; it must precede the first epoch
+        // snapshot so no send can slip between the check and the wait.
+        self.rx.subscribe(&self.arrived);
+        loop {
+            let seen = self.arrived.epoch();
+            if let Some(frame) = self.rx.try_recv(&self.rt) {
+                return Ok(Some(frame));
+            }
+            if self.rx.is_closed() {
+                // Sends stop at close, so what is buffered now is all
+                // there will ever be.
+                return self.rx.try_recv(&self.rt).map(Some).ok_or_else(eof);
+            }
+            if !self.arrived.wait_past_deadline(&self.rt, seen, deadline) {
+                return Ok(None);
+            }
+        }
     }
 
     fn shutdown(&self) {
@@ -302,14 +433,18 @@ impl Link for FaultyLink {
         }
     }
 
-    fn recv(&self) -> io::Result<Vec<u8>> {
+    fn recv(&self, timeout_ticks: Option<u64>) -> io::Result<Option<Vec<u8>>> {
+        let deadline = timeout_ticks.map(|t| self.rt.now().saturating_add(t));
         loop {
-            let frame = self.inner.recv()?;
+            let left = deadline.map(|d| d.saturating_sub(self.rt.now()));
+            let Some(frame) = self.inner.recv(left)? else {
+                return Ok(None);
+            };
             match self.fault.on_recv() {
                 RecvPlan::Drop => continue,
                 RecvPlan::Deliver { delay_ticks } => {
                     self.rt.sleep(delay_ticks);
-                    return Ok(frame);
+                    return Ok(Some(frame));
                 }
             }
         }
@@ -344,10 +479,10 @@ mod tests {
         let rt = Runtime::threaded();
         let (client, server) = MemLink::pair(&rt, "t");
         client.send(&hello()).unwrap();
-        let got = server.recv().unwrap();
+        let got = server.recv(None).unwrap().unwrap();
         assert_eq!(got, hello());
         server.shutdown();
-        assert!(client.recv().is_err());
+        assert!(client.recv(None).is_err());
         assert!(client.send(&hello()).is_err());
     }
 
@@ -360,7 +495,7 @@ mod tests {
         let faulty = FaultyLink::new(&rt, client.clone(), Arc::new(NetFault::new(plan)));
         for _ in 0..50 {
             faulty.send(&hello()).unwrap();
-            let got = server.recv().unwrap();
+            let got = server.recv(None).unwrap().unwrap();
             // Every frame was corrupted past the length prefix, so it
             // still frames correctly and decodes to a clean checksum (or
             // header-crc) error — never a panic, never a wrong frame.
@@ -385,9 +520,9 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         // The inner link was shut down, so the server sees EOF after
         // draining what was delivered.
-        server.recv().unwrap();
-        server.recv().unwrap();
-        assert!(server.recv().is_err());
+        server.recv(None).unwrap().unwrap();
+        server.recv(None).unwrap().unwrap();
+        assert!(server.recv(None).is_err());
     }
 
     #[test]
@@ -397,12 +532,175 @@ mod tests {
         let t = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
             let link = TcpLink::new(s).unwrap();
-            let got = link.recv().unwrap();
+            let got = link.recv(None).unwrap().unwrap();
             link.send(&got).unwrap();
         });
         let link = TcpLink::new(std::net::TcpStream::connect(addr).unwrap()).unwrap();
         link.send(&hello()).unwrap();
-        assert_eq!(link.recv().unwrap(), hello());
+        assert_eq!(link.recv(None).unwrap().unwrap(), hello());
         t.join().unwrap();
+    }
+
+    #[test]
+    fn mem_link_recv_times_out_then_delivers() {
+        let rt = Runtime::threaded();
+        let (client, server) = MemLink::pair(&rt, "t");
+        assert_eq!(server.recv(Some(1_000)).unwrap(), None);
+        client.send(&hello()).unwrap();
+        assert_eq!(server.recv(Some(1_000)).unwrap(), Some(hello()));
+        client.shutdown();
+        assert!(server.recv(Some(1_000)).is_err());
+    }
+
+    /// One step of a [`Script`]ed stream.
+    enum Step {
+        Bytes(Vec<u8>),
+        Timeout,
+    }
+
+    /// A stream that plays back `steps`, one per `read` call (a step
+    /// longer than the read buffer is split across reads), then EOF.
+    struct Script {
+        steps: std::collections::VecDeque<Step>,
+        reads: Arc<std::sync::atomic::AtomicUsize>,
+        /// The read timeout last set, and how many times one was set.
+        timeout: Arc<Mutex<(Option<Duration>, usize)>>,
+    }
+
+    impl io::Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(Step::Timeout) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Step::Bytes(b)) => {
+                    let n = b.len().min(out.len());
+                    out[..n].copy_from_slice(&b[..n]);
+                    if n < b.len() {
+                        self.steps.push_front(Step::Bytes(b[n..].to_vec()));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    impl io::Write for Script {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Stream for Script {
+        fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            let mut t = self.timeout.lock();
+            *t = (timeout, t.1 + 1);
+            Ok(())
+        }
+        fn shutdown(&self) {}
+    }
+
+    /// A link reading `steps`, and its read counter.
+    fn scripted(steps: Vec<Step>) -> (StreamLink<Script>, Arc<std::sync::atomic::AtomicUsize>) {
+        let reads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let script = |steps: Vec<Step>| Script {
+            steps: steps.into(),
+            reads: Arc::clone(&reads),
+            timeout: Arc::default(),
+        };
+        let link = StreamLink::from_halves(script(steps), script(vec![]), "script".into());
+        (link, reads)
+    }
+
+    fn reads(n: &std::sync::atomic::AtomicUsize) -> usize {
+        n.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn stream_link_reassembles_a_frame_split_across_reads() {
+        let f = hello();
+        let (link, _) = scripted(vec![
+            Step::Bytes(f[..3].to_vec()),
+            Step::Bytes(f[3..10].to_vec()),
+            Step::Bytes(f[10..].to_vec()),
+        ]);
+        assert_eq!(link.recv(None).unwrap(), Some(f));
+        assert_eq!(
+            link.recv(None).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn stream_link_splits_two_frames_from_one_read() {
+        let f = hello();
+        let big = encode_frame(&Frame::Hello {
+            version: PROTO_VERSION,
+            session: 9,
+            object: "X".repeat(4 * f.len()),
+        })
+        .unwrap();
+        let (link, n) = scripted(vec![
+            // The big frame grows the buffer past two small ones.
+            Step::Bytes(big.clone()),
+            Step::Bytes([f.clone(), f.clone()].concat()),
+        ]);
+        assert_eq!(link.recv(None).unwrap(), Some(big));
+        let before = reads(&n);
+        assert_eq!(link.recv(None).unwrap(), Some(f.clone()));
+        assert_eq!(link.recv(None).unwrap(), Some(f));
+        assert_eq!(reads(&n) - before, 1, "both frames came from one read");
+    }
+
+    #[test]
+    fn stream_link_timeout_mid_frame_keeps_the_partial_bytes() {
+        let f = hello();
+        let (link, _) = scripted(vec![
+            Step::Bytes(f[..5].to_vec()),
+            Step::Timeout,
+            Step::Bytes(f[5..].to_vec()),
+        ]);
+        // A zero timeout has passed by the time the read times out.
+        assert_eq!(link.recv(Some(0)).unwrap(), None);
+        assert_eq!(link.recv(Some(0)).unwrap(), Some(f));
+    }
+
+    #[test]
+    fn stream_link_read_timeout_follows_each_recv() {
+        let f = hello();
+        let (link, _) = scripted(vec![
+            Step::Bytes(f.clone()),
+            Step::Bytes(f.clone()),
+            Step::Bytes(f.clone()),
+            Step::Bytes(f.clone()),
+        ]);
+        let timeout = Arc::clone(&link.reader.lock().stream.timeout);
+        let micros = |us| Some(Duration::from_micros(us));
+        // A short timed recv, then a long one: the bound goes back up.
+        link.recv(Some(3)).unwrap().unwrap();
+        assert_eq!(*timeout.lock(), (micros(2), 1));
+        link.recv(Some(5_000_000)).unwrap().unwrap();
+        assert_eq!(*timeout.lock(), (micros(1 << 22), 2));
+        // A like deadline in the same power-of-two bucket sets nothing.
+        link.recv(Some(4_500_000)).unwrap().unwrap();
+        assert_eq!(timeout.lock().1, 2);
+        // An untimed recv clears the bound.
+        link.recv(None).unwrap().unwrap();
+        assert_eq!(*timeout.lock(), (None, 3));
+    }
+
+    #[test]
+    fn stream_link_oversize_length_prefix_is_invalid_data() {
+        let mut header = vec![0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let (link, _) = scripted(vec![Step::Bytes(header)]);
+        assert_eq!(
+            link.recv(None).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 }

@@ -72,6 +72,30 @@ enum CallState {
     Done(Result<ValVec, WireErr>),
 }
 
+/// A session's dedup cache.
+#[derive(Default)]
+struct Calls {
+    states: HashMap<u64, CallState>,
+    /// The highest `ack_below` watermark pruned so far.
+    pruned_below: u64,
+}
+
+impl Calls {
+    /// Forget the cached replies below `ack_below`: the client vouches
+    /// that every id below it is resolved on its side, so they can never
+    /// be asked for again. Scans the map only when the watermark moves.
+    /// InFlight markers stay — pruning one would let a late duplicate
+    /// re-execute the body.
+    fn prune(&mut self, ack_below: u64) {
+        if ack_below <= self.pruned_below {
+            return;
+        }
+        self.pruned_below = ack_below;
+        self.states
+            .retain(|&id, st| id >= ack_below || matches!(st, CallState::InFlight));
+    }
+}
+
 /// One client session: the dedup cache plus the entry table, surviving
 /// reconnects (the session key is client-chosen, the connection is not).
 struct Session {
@@ -80,7 +104,7 @@ struct Session {
     /// handshake (the wire analogue of resolving ids after spawn).
     entry_ids: Vec<EntryId>,
     entry_names: Vec<String>,
-    calls: Mutex<HashMap<u64, CallState>>,
+    calls: Mutex<Calls>,
     /// The *current* connection's writer. Replies always go to the
     /// newest link: a reply computed during a dead connection is cached,
     /// and the client's retry replays it over the new one.
@@ -312,7 +336,7 @@ impl ServerInner {
         self.stats.connections.incr();
         *session.writer.lock() = Some(Arc::clone(&link));
 
-        while let Ok(bytes) = link.recv() {
+        while let Ok(Some(bytes)) = link.recv(None) {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -349,7 +373,7 @@ impl ServerInner {
     /// Run the `Hello`/`HelloAck` exchange. Returns the (possibly
     /// pre-existing) session, or `None` when the connection must die.
     fn handshake(&self, link: &Arc<dyn Link>) -> Option<Arc<Session>> {
-        let bytes = link.recv().ok()?;
+        let bytes = link.recv(None).ok()??;
         let (frame, _) = match decode_frame(&bytes) {
             Ok(f) => f,
             Err(_) => {
@@ -426,12 +450,8 @@ impl ServerInner {
     ) {
         {
             let mut calls = session.calls.lock();
-            // The client vouches that every id below the watermark is
-            // resolved on its side; their cached replies can never be
-            // asked for again. InFlight markers stay — pruning one would
-            // let a late duplicate re-execute the body.
-            calls.retain(|&id, st| id >= ack_below || matches!(st, CallState::InFlight));
-            match calls.get(&call) {
+            calls.prune(ack_below);
+            match calls.states.get(&call) {
                 Some(CallState::Done(cached)) => {
                     let cached = cached.clone();
                     drop(calls);
@@ -446,7 +466,7 @@ impl ServerInner {
                     return;
                 }
                 None => {
-                    calls.insert(call, CallState::InFlight);
+                    calls.states.insert(call, CallState::InFlight);
                 }
             }
         }
@@ -463,7 +483,7 @@ impl ServerInner {
                 // Shut down after this frame was read: the body never
                 // runs, so the marker must not suppress a later retry.
                 drop(idle);
-                session.calls.lock().remove(&call);
+                session.calls.lock().states.remove(&call);
                 return;
             }
             self.stats.executed.incr();
@@ -540,9 +560,9 @@ impl ServerInner {
             // The body never ran (shed / restart sweep) or timed out
             // without an answer: drop the marker so the client's retry of
             // this id re-executes rather than replaying a refusal.
-            calls.remove(&call);
+            calls.states.remove(&call);
         } else {
-            calls.insert(call, CallState::Done(result.clone()));
+            calls.states.insert(call, CallState::Done(result.clone()));
         }
         result
     }
@@ -601,7 +621,7 @@ impl Session {
             object,
             entry_ids,
             entry_names,
-            calls: Mutex::new(HashMap::new()),
+            calls: Mutex::new(Calls::default()),
             writer: Mutex::new(None),
         }
     }
@@ -620,6 +640,34 @@ mod tests {
     use super::*;
     use alps_core::{EntryDef, ObjectBuilder, Ty, Value};
     use alps_runtime::SimRuntime;
+
+    /// The dedup cache is pruned when a call raises the watermark, and
+    /// only then: a `Done` entry below the new watermark goes, an
+    /// `InFlight` one stays.
+    #[test]
+    fn dedup_prune_follows_the_watermark() {
+        let mut calls = Calls::default();
+        calls.states.insert(1, CallState::Done(Ok(ValVec::new())));
+        calls.states.insert(2, CallState::InFlight);
+        calls.states.insert(5, CallState::Done(Ok(ValVec::new())));
+        calls.prune(4);
+        assert!(!calls.states.contains_key(&1), "Done below the watermark");
+        assert!(
+            matches!(calls.states.get(&2), Some(CallState::InFlight)),
+            "InFlight survives"
+        );
+        assert!(calls.states.contains_key(&5), "above the watermark");
+
+        // A watermark that does not move prunes nothing.
+        calls.states.insert(3, CallState::Done(Ok(ValVec::new())));
+        calls.prune(4);
+        calls.prune(2);
+        assert!(calls.states.contains_key(&3));
+        calls.prune(6);
+        assert!(!calls.states.contains_key(&3));
+        assert!(!calls.states.contains_key(&5));
+        assert!(calls.states.contains_key(&2));
+    }
 
     /// Shutdown ends the idle dispatchers, which drop their reference to
     /// the server.

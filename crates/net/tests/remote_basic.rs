@@ -11,7 +11,9 @@ use alps_core::{
     vals, AlpsError, Backoff, EntryDef, Guard, ObjectBuilder, ObjectHandle, RestartPolicy,
     RetryPolicy, Selected, Ty, Value,
 };
-use alps_net::{NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle, TcpConnector};
+use alps_net::{
+    Connector, Link, NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle, TcpConnector,
+};
 use alps_runtime::{Runtime, SimRuntime, Spawn};
 use parking_lot::Mutex;
 
@@ -372,7 +374,30 @@ fn one_slot(rt: &Runtime) -> ObjectHandle {
 /// A call blocked on a guard must not stall a later call on the same
 /// session and connection: the `Get` waits for the `Put` that arrives
 /// behind it, so running either on the connection's own process (or
-/// behind the other's body) would deadlock the simulation.
+/// behind the other's body) would deadlock. The getter, the first caller
+/// to wait, holds the reader role, so it must also deliver the `Put`'s
+/// reply to the other caller while its own call is still blocked.
+fn guarded_call_does_not_stall_a_later_call(
+    rt: &Runtime,
+    server: &NetServer,
+    client: &RemoteHandle,
+) {
+    let getter = client.clone();
+    let get = rt.spawn_with(Spawn::new("getter"), move || getter.call("Get", vals![]));
+    while server.stats().executed.get() == 0 {
+        rt.sleep(1);
+    }
+    client.call("Put", vals![42i64]).unwrap();
+    let r = get.join().unwrap().unwrap();
+    assert_eq!(r[0], Value::Int(42));
+    assert_eq!(client.stats().reconnects.get(), 1, "one connection");
+    assert_eq!(
+        server.stats().dispatchers.get(),
+        2,
+        "one per concurrent call"
+    );
+}
+
 #[test]
 fn guarded_call_does_not_stall_a_later_call_on_its_connection() {
     SimRuntime::new()
@@ -381,23 +406,247 @@ fn guarded_call_does_not_stall_a_later_call_on_its_connection() {
             let server = NetServer::new(rt);
             server.register(&obj);
             let client = RemoteHandle::new(rt, "Slot", server.mem_connector());
+            guarded_call_does_not_stall_a_later_call(rt, &server, &client);
+        })
+        .unwrap();
+}
 
-            let getter = client.clone();
-            let get = rt.spawn_with(Spawn::new("getter"), move || getter.call("Get", vals![]));
+#[test]
+fn guarded_call_does_not_stall_a_later_call_on_its_tcp_connection() {
+    let rt = Runtime::threaded();
+    let obj = one_slot(&rt);
+    let server = NetServer::new(&rt);
+    server.register(&obj);
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let client = RemoteHandle::new(&rt, "Slot", TcpConnector::new(addr.to_string()));
+    guarded_call_does_not_stall_a_later_call(&rt, &server, &client);
+    server.shutdown();
+    obj.shutdown();
+}
+
+/// An object whose `Wait` is never accepted, whose `Echo` is, and whose
+/// implicit `Slow` sleeps 5000 ticks before it answers.
+fn half_open(rt: &Runtime) -> ObjectHandle {
+    let clock = rt.clone();
+    ObjectBuilder::new("HalfOpen")
+        .entry(
+            EntryDef::new("Wait")
+                .intercepted()
+                .body(|_ctx, _| Ok(vec![])),
+        )
+        .entry(
+            EntryDef::new("Slow")
+                .params([Ty::Int])
+                .results([Ty::Int])
+                .body(move |_ctx, args| {
+                    clock.sleep(5_000);
+                    Ok(args)
+                }),
+        )
+        .entry(
+            EntryDef::new("Echo")
+                .params([Ty::Int])
+                .results([Ty::Int])
+                .intercepted()
+                .body(|_ctx, args| Ok(args)),
+        )
+        .manager(|mgr| loop {
+            let acc = mgr.accept("Echo")?;
+            mgr.execute(acc)?;
+        })
+        .spawn(rt)
+        .unwrap()
+}
+
+/// The caller holding the reader role delivers another caller's reply,
+/// and wakes it, while its own call stays blocked.
+#[test]
+fn reader_delivers_other_replies_while_its_own_call_waits() {
+    SimRuntime::new()
+        .run(|rt| {
+            let obj = half_open(rt);
+            let server = NetServer::new(rt);
+            server.register(&obj);
+            let client = RemoteHandle::new(rt, "HalfOpen", server.mem_connector());
+
+            let budget = 1_000_000;
+            let t0 = rt.now();
+            let waiter = client.clone();
+            let wait = rt.spawn_with(Spawn::new("waiter"), move || {
+                waiter.call_deadline("Wait", vals![], budget)
+            });
             while server.stats().executed.get() == 0 {
                 rt.sleep(1);
             }
-            client.call("Put", vals![42i64]).unwrap();
-            let r = get.join().unwrap().unwrap();
-            assert_eq!(r[0], Value::Int(42));
-            assert_eq!(client.stats().reconnects.get(), 1, "one connection");
-            assert_eq!(
-                server.stats().dispatchers.get(),
-                2,
-                "one per concurrent call"
+            let r = client.call("Echo", vals![5i64]).unwrap();
+            assert_eq!(r[0], Value::Int(5));
+            assert!(
+                rt.now() < t0 + budget,
+                "the Echo reply waited for the reader's deadline"
             );
+            let err = wait.join().unwrap().unwrap_err();
+            assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
         })
         .unwrap();
+}
+
+/// A reader that leaves at its deadline hands the role on: the caller
+/// still waiting takes it and reads its own reply, which arrives after
+/// the first reader has gone.
+#[test]
+fn reader_role_passes_on_when_its_holder_times_out() {
+    SimRuntime::new()
+        .run(|rt| {
+            let obj = half_open(rt);
+            let server = NetServer::new(rt);
+            server.register(&obj);
+            let client = RemoteHandle::new(rt, "HalfOpen", server.mem_connector());
+
+            let reader = client.clone();
+            let first = rt.spawn_with(Spawn::new("reader"), move || {
+                reader.call_deadline("Slow", vals![1i64], 1_000)
+            });
+            while server.stats().executed.get() == 0 {
+                rt.sleep(1);
+            }
+            let r = client.call("Slow", vals![2i64]).unwrap();
+            assert_eq!(r[0], Value::Int(2));
+            let err = first.join().unwrap().unwrap_err();
+            assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+        })
+        .unwrap();
+}
+
+/// Over TCP, a deadline-bounded call that holds the reader role while
+/// its guard never opens gives the role up at its deadline and returns
+/// `Timeout`. The server's own (timed-out) reply arrives after the
+/// caller left; the next call on the handle reads past it and succeeds.
+#[test]
+fn tcp_reader_role_times_out_and_the_stale_reply_is_dropped() {
+    let rt = Runtime::threaded();
+    let obj = one_slot(&rt);
+    let server = NetServer::new(&rt);
+    server.register(&obj);
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let client = RemoteHandle::new(&rt, "Slot", TcpConnector::new(addr.to_string()));
+    let get = client.entry_id("Get");
+
+    let budget = 200_000; // ticks = µs
+    let t0 = std::time::Instant::now();
+    let err = client.call_id_deadline(&get, vals![], budget).unwrap_err();
+    let waited = t0.elapsed();
+    assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+    assert!(
+        waited < std::time::Duration::from_micros(budget) + std::time::Duration::from_secs(2),
+        "timed out after {waited:?}"
+    );
+    // Wait until the server's side of the `Get` has timed out as well,
+    // so the `Put` below cannot open its guard; its reply is then
+    // already on its way to this client.
+    while obj.stats().timeouts() == 0 {
+        rt.sleep(1_000);
+    }
+
+    client.call("Put", vals![7i64]).unwrap();
+    assert_eq!(client.call_id(&get, vals![]).unwrap()[0], Value::Int(7));
+    let s = client.stats();
+    assert_eq!(s.sent.get(), 3);
+    assert_eq!(s.replies.get(), 2, "the stale reply reached no caller");
+    assert_eq!(s.reconnects.get(), 1, "one connection");
+    server.shutdown();
+    obj.shutdown();
+}
+
+/// Dials TCP and keeps each link it hands out, so a test can write to
+/// the client's connection behind the handle's back.
+struct KeepLinks {
+    tcp: TcpConnector,
+    links: Arc<Mutex<Vec<Arc<dyn Link>>>>,
+}
+
+impl Connector for KeepLinks {
+    fn connect(&self) -> std::io::Result<Arc<dyn Link>> {
+        let link = self.tcp.connect()?;
+        self.links.lock().push(Arc::clone(&link));
+        Ok(link)
+    }
+
+    fn endpoint(&self) -> String {
+        self.tcp.endpoint()
+    }
+}
+
+/// A client whose one connection the server has dropped while no call
+/// was in flight on it, after one `Bump(1)`. No process reads an idle
+/// connection, so the client has not noticed yet.
+fn idle_dropped_client(
+    rt: &Runtime,
+    counts: &Arc<Mutex<HashMap<i64, i64>>>,
+) -> (ObjectHandle, NetServer, RemoteHandle) {
+    let obj = counter(rt, counts);
+    let server = NetServer::new(rt);
+    server.register(&obj);
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let links = Arc::new(Mutex::new(Vec::new()));
+    let dialer = KeepLinks {
+        tcp: TcpConnector::new(addr.to_string()),
+        links: Arc::clone(&links),
+    };
+    let client = RemoteHandle::new(rt, "Counter", dialer);
+    let bump = client.entry_id("Bump");
+    assert_eq!(
+        client.call_id(&bump, vals![1i64]).unwrap()[0],
+        Value::Int(1)
+    );
+
+    // A frame whose checksum does not match its body: the server kills
+    // the connection on it.
+    let link = Arc::clone(&links.lock()[0]);
+    link.send(&[1, 0, 0, 0, 0, 0, 0, 0, 0xFF]).unwrap();
+    while server.stats().frame_errors.get() == 0 {
+        rt.sleep(1_000);
+    }
+    (obj, server, client)
+}
+
+/// The idle connection's death is noticed on the next call, which fails
+/// with the retryable `LinkLost`; `call_id_retry` redials and succeeds.
+#[test]
+fn idle_connection_dropped_by_the_server_fails_over_on_the_next_call() {
+    let rt = Runtime::threaded();
+    let counts = Arc::new(Mutex::new(HashMap::new()));
+    let (obj, server, client) = idle_dropped_client(&rt, &counts);
+    let policy = RetryPolicy::new(4, 5_000_000).backoff(Backoff::ExpJitter {
+        base: 1_000,
+        cap: 10_000,
+    });
+    let r = client
+        .call_id_retry(&client.entry_id("Bump"), vals![1i64], policy)
+        .unwrap();
+    assert_eq!(r[0], Value::Int(2));
+    assert_eq!(client.stats().reconnects.get(), 2, "redialed once");
+    assert!(client.stats().retries.get() >= 1);
+    assert_eq!(counts.lock().get(&1), Some(&2));
+    server.shutdown();
+    obj.shutdown();
+}
+
+/// A plain `call` does not retry: the first call after an idle drop
+/// returns `LinkLost` to its caller, with the body not run. That call
+/// marked the connection down, so the next plain call redials.
+#[test]
+fn idle_connection_dropped_by_the_server_fails_a_plain_call_once() {
+    let rt = Runtime::threaded();
+    let counts = Arc::new(Mutex::new(HashMap::new()));
+    let (obj, server, client) = idle_dropped_client(&rt, &counts);
+    let err = client.call("Bump", vals![1i64]).unwrap_err();
+    assert!(matches!(err, AlpsError::LinkLost { .. }), "{err:?}");
+    assert!(err.is_retryable());
+    assert_eq!(counts.lock().get(&1), Some(&1), "the lost call never ran");
+    assert_eq!(client.call("Bump", vals![1i64]).unwrap()[0], Value::Int(2));
+    assert_eq!(client.stats().reconnects.get(), 2, "redialed once");
+    server.shutdown();
+    obj.shutdown();
 }
 
 /// After `shutdown`, a call on a connection opened before it fails
