@@ -1431,8 +1431,8 @@ mod traffic {
                 let (start2, hist2) = (Arc::clone(&start_ns), Arc::clone(&hist));
                 rt.spawn_with(Spawn::new(format!("dispatch-{si}")), move || {
                     let id = shard.entry_id("Get").unwrap();
-                    // Warm the shard closed-loop: recycles cells and
-                    // trains the EWMA.
+                    // Warm the shard closed-loop so the measured calls
+                    // reuse recycled cells.
                     for _ in 0..64 {
                         shard.call_id(id, argv![0i64]).unwrap();
                     }

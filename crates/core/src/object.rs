@@ -1033,9 +1033,9 @@ impl ObjectInner {
 
     /// Block until `call` completes or `deadline` passes, adaptively: a
     /// short pure-spin burst, then — while the manager is awake and the
-    /// deadline has not passed — bounded yielding sized by the
-    /// service-time EWMA, then announce (`waiting = true`) and park, with
-    /// a timer when there is a deadline.
+    /// deadline has not passed — up to `tuning::YIELD_BUDGET` yields, then
+    /// announce (`waiting = true`) and park, with a timer when there is a
+    /// deadline.
     ///
     /// `adaptive` is false for non-ring waits (queued implicit calls,
     /// whose completer is a pool worker, not the manager) and the
@@ -1053,7 +1053,7 @@ impl ObjectInner {
         deadline: Option<u64>,
     ) -> Result<ValVec> {
         if adaptive && !self.rt.is_sim() {
-            let mut sw = SpinWait::new(tuning::CALLER_SPIN_ROUNDS);
+            let mut sw = SpinWait::new(tuning::SPIN_ROUNDS);
             while sw.spin() {
                 if let Some(r) = call.try_take() {
                     self.stats.on_spin_resolved();
@@ -1062,11 +1062,9 @@ impl ObjectInner {
             }
             // Yield phase: worth it only while the manager is running —
             // each yield hands it the CPU (single-core) or leaves it
-            // draining (multi-core). Budget scales with how long one
-            // service round is expected to take (EWMA is in ticks = µs).
-            let budget = tuning::caller_yield_budget(self.stats.ewma_service_ticks());
+            // draining (multi-core).
             let mut spent = 0;
-            while spent < budget
+            while spent < tuning::YIELD_BUDGET
                 && self.mgr_active.load(Ordering::SeqCst)
                 && deadline.is_none_or(|d| self.rt.now() < d)
             {

@@ -202,7 +202,7 @@ impl Pool {
         let spin_rounds = if self.rt.is_sim() {
             0
         } else {
-            tuning::POOL_SLOT_SPIN_ROUNDS
+            tuning::SPIN_ROUNDS
         };
         self.rt.spawn_with(self.worker_opts(name), move || loop {
             // Brief spin for a job dispatched while the previous one

@@ -829,11 +829,11 @@ fn wait_for_work(obj: &ObjectInner, epoch: u64) {
     // ring: every yield hands the CPU to a waking caller, whose push
     // needs no notify syscall (we never register as a waiter) and whose
     // reply wait stays in its yield phase (`mgr_active` stays true). One
-    // dry budget — no work after `tuning::MGR_POLL_BUDGET` yields —
+    // dry budget — no work after `tuning::YIELD_BUDGET` yields —
     // turns poll mode off and the manager parks. Pointless in
     // simulation, where only one process runs at a time.
     if obj.mgr_poll.load(Ordering::SeqCst) && !obj.rt.is_sim() {
-        for _ in 0..tuning::MGR_POLL_BUDGET {
+        for _ in 0..tuning::YIELD_BUDGET {
             if !obj.intake.is_empty() || obj.notifier.epoch() != epoch {
                 obj.stats.on_mgr_wakeup();
                 obj.stats.on_spin_resolved();
@@ -852,9 +852,7 @@ fn wait_for_work(obj: &ObjectInner, epoch: u64) {
     // Spin rounds are pure CPU hints (no yields): they only pay when a
     // producer is mid-call on another core; `wait_past_spin` skips them
     // in simulation.
-    let out = obj
-        .notifier
-        .wait_past_spin(&obj.rt, epoch, tuning::MGR_IDLE_SPIN_ROUNDS);
+    let out = obj.notifier.wait_past_spin(&obj.rt, epoch);
     obj.mgr_active.store(true, Ordering::SeqCst);
     obj.stats.on_mgr_wakeup();
     match out {

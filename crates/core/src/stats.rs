@@ -4,7 +4,6 @@
 //! counters and histograms; the hot paths only touch atomics.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alps_runtime::metrics::{Counter, Histogram};
@@ -41,10 +40,6 @@ struct StatsInner {
     sheds: Counter,
     retries: Counter,
     overload_flips: Counter,
-    /// EWMA of service time in ticks (α = 1/8). Updated with a Relaxed
-    /// CAS loop: pooled bodies finish concurrently, so the RMW must be
-    /// atomic, but the value is advisory and orders nothing.
-    ewma_service: AtomicU64,
 }
 
 impl ObjectStats {
@@ -172,12 +167,6 @@ impl ObjectStats {
     pub fn lane_pushes(&self) -> u64 {
         0
     }
-    /// Exponentially weighted moving average of entry service time in
-    /// ticks (α = 1/8) — the signal the adaptive spin budgets are tuned
-    /// by.
-    pub fn ewma_service_ticks(&self) -> u64 {
-        self.inner.ewma_service.load(Ordering::Relaxed)
-    }
 
     pub(crate) fn on_call(&self) {
         self.inner.calls.incr();
@@ -206,21 +195,6 @@ impl ObjectStats {
     }
     pub(crate) fn on_service(&self, ticks: u64) {
         self.inner.service_time.record(ticks);
-        // EWMA with α = 1/8: ewma += (sample - ewma) / 8. Bodies of a
-        // pooled entry finish concurrently, so the read-modify-write must
-        // be a CAS loop — a plain load/store pair here raced and dropped
-        // samples under contention. Relaxed ordering is fine: the value is
-        // an advisory spin-budget signal, never synchronizes other data.
-        let _ =
-            self.inner
-                .ewma_service
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |prev| {
-                    Some(if ticks >= prev {
-                        prev + (ticks - prev) / 8
-                    } else {
-                        prev - (prev - ticks) / 8
-                    })
-                });
     }
     pub(crate) fn on_complete(&self, latency: u64) {
         self.inner.call_latency.record(latency);
@@ -387,20 +361,5 @@ mod tests {
         assert!(shown.contains("overload_flips=1"), "{shown}");
         assert!(shown.contains("p999_latency=0"), "{shown}");
         assert_eq!(s.lane_pushes(), 0);
-    }
-
-    #[test]
-    fn ewma_converges_toward_samples() {
-        let s = ObjectStats::new();
-        assert_eq!(s.ewma_service_ticks(), 0);
-        for _ in 0..64 {
-            s.on_service(800);
-        }
-        let up = s.ewma_service_ticks();
-        assert!(up > 400, "ewma rose toward 800, got {up}");
-        for _ in 0..64 {
-            s.on_service(0);
-        }
-        assert!(s.ewma_service_ticks() < up, "ewma decays");
     }
 }

@@ -847,3 +847,70 @@ fn foreign_entry_id_is_a_typed_error_not_a_panic() {
     b.shutdown();
     rt.shutdown();
 }
+
+/// One entry per place a body's service time is recorded: an implicit
+/// entry run inline in the caller, an `execute`d entry run by the
+/// manager, and a pooled entry run with `start` and collected with
+/// `await`/`finish`. Returns the object's stats after `n` calls of each.
+fn service_time_run(rt: &Runtime, n: i64) -> alps_core::ObjectStats {
+    let obj = ObjectBuilder::new("Timed")
+        .entry(
+            EntryDef::new("Inline")
+                .params([Ty::Int])
+                .results([Ty::Int])
+                .body(|_ctx, args| Ok(vec![args[0].clone()])),
+        )
+        .entry(
+            EntryDef::new("Exec")
+                .params([Ty::Int])
+                .results([Ty::Int])
+                .intercepted()
+                .body(|_ctx, args| Ok(vec![args[0].clone()])),
+        )
+        .entry(
+            EntryDef::new("Pooled")
+                .params([Ty::Int])
+                .results([Ty::Int])
+                .intercepted()
+                .body(|_ctx, args| Ok(vec![args[0].clone()])),
+        )
+        .manager(|mgr| loop {
+            let sel = mgr.select(vec![
+                Guard::accept("Exec"),
+                Guard::accept("Pooled"),
+                Guard::await_done("Pooled"),
+            ])?;
+            match sel {
+                Selected::Accepted { guard: 0, call } => {
+                    mgr.execute(call)?;
+                }
+                Selected::Accepted { call, .. } => mgr.start_as_is(call)?,
+                Selected::Ready { done, .. } => mgr.finish_as_is(done)?,
+                _ => unreachable!(),
+            }
+        })
+        .spawn(rt)
+        .unwrap();
+    for i in 0..n {
+        for entry in ["Inline", "Exec", "Pooled"] {
+            let got = obj.call(entry, vals![i]).unwrap()[0].as_int().unwrap();
+            assert_eq!(got, i, "{entry}");
+        }
+    }
+    let stats = obj.stats();
+    obj.shutdown();
+    stats
+}
+
+#[test]
+fn service_time_counts_every_completed_body() {
+    let check = |stats: alps_core::ObjectStats| {
+        assert_eq!(stats.implicit_starts(), 5, "inline bodies");
+        assert_eq!(stats.starts(), 10, "execute and pooled bodies");
+        assert_eq!(stats.service_time().count(), 15);
+    };
+    check(SimRuntime::new().run(|rt| service_time_run(rt, 5)).unwrap());
+    let rt = Runtime::threaded();
+    check(service_time_run(&rt, 5));
+    rt.shutdown();
+}

@@ -14,6 +14,8 @@
 //!   non-matching messages untouched (SR-style semantics, see paper §2.4);
 //! * select integration through [`Notifier`] subscription.
 
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -699,6 +701,10 @@ struct RingSlot<T> {
 // consumer (the one whose CAS claimed the matching dequeue position);
 // the Release publish on `seq` orders the write before the Acquire read.
 unsafe impl<T: Send> Sync for IntakeRing<T> {}
+// SAFETY: `buf` owns its slots (an atomic sequence number and an
+// `Option<T>` cell each), `mask` is a plain `usize`, and both positions
+// are atomics. Nothing is tied to the thread that built the ring, so
+// moving it moves only the queued `T`s, which `T: Send` permits.
 unsafe impl<T: Send> Send for IntakeRing<T> {}
 
 impl<T> fmt::Debug for IntakeRing<T> {

@@ -24,14 +24,14 @@
 //!   the injector ahead of their own deque every
 //!   [`GLOBAL_POLL_INTERVAL`] dispatches, so injected tasks cannot
 //!   starve behind a local deque that never drains.
-//! * The idle protocol is spin-then-park with the shared budgets from
-//!   [`crate::tuning`]: a worker that finds every queue empty burns
-//!   [`tuning::WORKER_IDLE_SPIN_ROUNDS`](crate::tuning::WORKER_IDLE_SPIN_ROUNDS),
-//!   registers in an idle list, re-checks (producers enqueue *before*
-//!   consulting the list, so the recheck closes the sleep/publish race),
-//!   and parks on its own parker. Producers wake at most one worker per
-//!   enqueue; a worker that grabs a batch wakes the next worker, so
-//!   wakeups cascade only while work remains.
+//! * The idle protocol is spin-then-park with the shared wait policy
+//!   from [`crate::tuning`]: a worker that finds every queue empty burns
+//!   [`tuning::SPIN_ROUNDS`](crate::tuning::SPIN_ROUNDS), registers in
+//!   an idle list, re-checks (producers enqueue *before* consulting the
+//!   list, so the recheck closes the sleep/publish race), and parks on
+//!   its own parker. Producers wake at most one worker per enqueue; a
+//!   worker that grabs a batch wakes the next worker, so wakeups cascade
+//!   only while work remains.
 //! * `park_timeout` and `sleep` are served by one timer thread holding a
 //!   min-heap of deadlines. Timer wakeups carry the park sequence number
 //!   they were armed for and are dropped stale, so an early `unpark`
@@ -845,7 +845,7 @@ impl PoolInner {
     // --- worker / timer threads ---------------------------------------
 
     fn idle_wait(&self, i: usize) {
-        let mut sw = SpinWait::new(tuning::WORKER_IDLE_SPIN_ROUNDS);
+        let mut sw = SpinWait::new(tuning::SPIN_ROUNDS);
         while sw.spin() {
             if self.has_work() {
                 return;

@@ -15,15 +15,15 @@
 //! must get it from the runtime's own synchronization (parking, channel
 //! handoff), never from these counters.
 //!
-//! A second contract covers the *conditional* updates ([`Histogram`]'s
-//! running maximum, and the EWMA in the object layer's stats): those use
+//! A second contract covers the CAS-loop updates, [`Histogram`]'s running
+//! maximum and the saturating adds of [`Histogram::merge`]: those use
 //! `fetch_update(Relaxed, Relaxed, ..)` — a CAS loop whose closure reads
-//! only the prior value of the same location it writes. Relaxed is
-//! sufficient for the same single-location reason as above: CAS failure
-//! reloads the current value, so a racing update can make the loop
-//! retry but never publish a value computed from a stale read, and the
-//! success/failure orderings need not fence anything because no *other*
-//! location's data is being published through the word.
+//! only the prior value of the same location it writes.
+//! Relaxed is sufficient for the same single-location reason as above:
+//! CAS failure reloads the current value, so a racing update can make the
+//! loop retry but never publish a value computed from a stale read, and
+//! the success/failure orderings need not fence anything because no
+//! *other* location's data is being published through the word.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

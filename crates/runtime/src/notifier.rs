@@ -27,6 +27,7 @@ use parking_lot::Mutex;
 
 use crate::executor::Runtime;
 use crate::process::{ProcId, SpinWait};
+use crate::tuning;
 
 /// How a [`Notifier::wait_past_spin`] call resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,20 +193,20 @@ impl Notifier {
     }
 
     /// Adaptive variant of [`wait_past`](Notifier::wait_past): burn up to
-    /// `max_spin_rounds` exponential-backoff spin rounds polling the epoch
-    /// before falling back to the registering park path. Returns how the
-    /// wait resolved so callers can tune their budget (e.g. from an EWMA
-    /// of service time) and account spin- vs park-resolved waits.
+    /// [`tuning::SPIN_ROUNDS`] exponential-backoff spin rounds polling the
+    /// epoch before falling back to the registering park path. Returns
+    /// how the wait resolved, so callers can count spin- vs park-resolved
+    /// waits.
     ///
     /// Spinning is pointless on the simulation executor (the notifying
-    /// process can only run once this one blocks), so a zero budget — or
-    /// any budget when `rt.is_sim()` — goes straight to the park path.
-    pub fn wait_past_spin(&self, rt: &Runtime, seen: u64, max_spin_rounds: u32) -> WaitOutcome {
+    /// process can only run once this one blocks), so when `rt.is_sim()`
+    /// the wait goes straight to the park path.
+    pub fn wait_past_spin(&self, rt: &Runtime, seen: u64) -> WaitOutcome {
         if self.inner.epoch.load(Ordering::SeqCst) != seen {
             return WaitOutcome::Immediate;
         }
-        if max_spin_rounds > 0 && !rt.is_sim() {
-            let mut sw = SpinWait::new(max_spin_rounds);
+        if !rt.is_sim() {
+            let mut sw = SpinWait::new(tuning::SPIN_ROUNDS);
             while sw.spin() {
                 if self.inner.epoch.load(Ordering::SeqCst) != seen {
                     return WaitOutcome::Spun;
@@ -341,7 +342,7 @@ mod tests {
         let rt = Runtime::threaded();
         let n = Notifier::new();
         n.notify(&rt);
-        assert_eq!(n.wait_past_spin(&rt, 0, 8), WaitOutcome::Immediate);
+        assert_eq!(n.wait_past_spin(&rt, 0), WaitOutcome::Immediate);
         // Epoch moves while we spin: another thread bumps it shortly.
         let n2 = n.clone();
         let rt2 = rt.clone();
@@ -350,7 +351,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
             n2.notify(&rt2);
         });
-        let out = n.wait_past_spin(&rt, seen, 64);
+        let out = n.wait_past_spin(&rt, seen);
         assert!(
             out == WaitOutcome::Spun || out == WaitOutcome::Parked,
             "{out:?}"
@@ -370,7 +371,7 @@ mod tests {
             let rt2 = rt.clone();
             let h = rt.spawn_with(Spawn::new("waiter"), move || {
                 let seen = n2.epoch();
-                let out = n2.wait_past_spin(&rt2, seen, 32);
+                let out = n2.wait_past_spin(&rt2, seen);
                 assert_eq!(out, WaitOutcome::Parked);
                 hits2.store(1, Ordering::SeqCst);
             });

@@ -152,17 +152,17 @@ impl Default for Spawn {
 
 /// Bounded exponential-backoff spinner used by the adaptive
 /// spin-then-park wait paths (call-cell reply waits, manager wakeups,
-/// pool workers).
+/// pool workers, idle executor workers).
 ///
 /// Each [`spin`](SpinWait::spin) round issues `2^round` (capped at 64)
 /// `std::hint::spin_loop` hints and returns `true` while budget remains;
 /// once `max_rounds` rounds have been consumed it returns `false` and the
 /// caller should fall back to parking. The budget is deliberately small —
 /// spinning only pays when the awaited event is produced by a peer that
-/// is *currently running* on another CPU; the caller decides how much to
-/// spend (typically from an EWMA of observed service times) and must use
-/// a zero budget on the simulation executor, where spinning can never
-/// observe progress.
+/// is *currently running* on another CPU. Every wait in the system passes
+/// [`tuning::SPIN_ROUNDS`](crate::tuning::SPIN_ROUNDS), and must pass
+/// zero on the simulation executor, where spinning can never observe
+/// progress.
 ///
 /// ```
 /// use alps_runtime::SpinWait;
@@ -172,8 +172,7 @@ impl Default for Spawn {
 ///     rounds += 1;
 /// }
 /// assert_eq!(rounds, 3);
-/// sw.reset();
-/// assert!(sw.spin());
+/// assert!(!sw.spin());
 /// ```
 #[derive(Debug)]
 pub struct SpinWait {
@@ -203,16 +202,6 @@ impl SpinWait {
         self.round += 1;
         true
     }
-
-    /// Restore the full budget.
-    pub fn reset(&mut self) {
-        self.round = 0;
-    }
-
-    /// Rounds consumed so far.
-    pub fn rounds_used(&self) -> u32 {
-        self.round
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn spin_wait_budget_and_reset() {
+    fn spin_wait_budget() {
         let mut sw = SpinWait::new(0);
         assert!(!sw.spin(), "zero budget never spins");
         let mut sw = SpinWait::new(5);
@@ -243,11 +232,7 @@ mod tests {
             used += 1;
         }
         assert_eq!(used, 5);
-        assert_eq!(sw.rounds_used(), 5);
         assert!(!sw.spin(), "stays exhausted");
-        sw.reset();
-        assert_eq!(sw.rounds_used(), 0);
-        assert!(sw.spin());
     }
 
     #[test]

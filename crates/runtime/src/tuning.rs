@@ -1,69 +1,31 @@
-//! Spin-then-park tuning constants, in one place.
+//! The wait policy, in one place.
 //!
-//! Three layers of the system wait for events that usually arrive within
-//! a few microseconds: callers waiting for a reply, managers waiting for
-//! work, and executor workers waiting for runnable tasks. Each uses the
-//! same shape of adaptive wait — a short pure-spin burst, an optional
-//! bounded yield phase, then park — but before PR 5 each layer carried a
-//! private copy of its budgets. They live here now so a change to the
-//! policy is a change to one module, and so the work-stealing executor's
-//! idle parker reuses the measured defaults instead of inventing a third
-//! set.
+//! Four waits in the system expect an event that usually arrives within
+//! a few microseconds: a caller waiting for its reply, a manager waiting
+//! for work, a pool slot worker waiting for its next job, and an idle
+//! work-stealing executor worker. They share one policy of two
+//! constants: a pure-spin burst of [`SPIN_ROUNDS`] before parking, and,
+//! where there is liveness evidence that the other side is running (a
+//! manager still awake for a caller, a call just served for a manager),
+//! a yield phase of at most [`YIELD_BUDGET`] yields in between.
 //!
-//! All constants were tuned on the benchmark machine via
-//! `experiments bench-json` (see `BENCH_manager_batch.json`): the spin
-//! budgets are sized so an uncontended reply (~6–7 µs round trip) is
-//! usually caught in the yield phase without paying a futex round trip,
-//! while a cold wait degrades to a park after at most a few microseconds
-//! of CPU.
+//! Both values were chosen by paired runs of the repo benchmark
+//! (`BENCHMARK.json`); DESIGN.md §7 "Wait budgets" has the table,
+//! including the rejected alternatives (a per-object service-time
+//! budget, and a longer spin).
 
-/// Pure-spin rounds a caller burns before judging whether to yield or
-/// park while waiting for its reply ([`SpinWait`](crate::SpinWait)
-/// rounds, exponential: round *r* issues `2^r` `spin_loop` hints, capped
-/// at 64 per round).
-pub const CALLER_SPIN_ROUNDS: u32 = 4;
+/// Pure-spin rounds of every wait before it yields or parks
+/// ([`SpinWait`](crate::SpinWait) rounds, exponential: round *r* issues
+/// `2^r` `spin_loop` hints, so 4 rounds are 15 hints). Spinning pays only
+/// when the event is produced by a peer running on another CPU; a longer
+/// burst measured worse on the sharded workload.
+pub const SPIN_ROUNDS: u32 = 4;
 
-/// Base of the caller's yield budget (yields granted even when the
-/// service-time EWMA is still zero, e.g. on a cold object).
-pub const CALLER_YIELD_BASE: u64 = 4;
-
-/// Extra yields granted per tick (µs) of the object's service-time EWMA:
-/// a slower object earns a longer yield phase before the caller parks.
-pub const CALLER_YIELD_PER_EWMA_TICK: u64 = 2;
-
-/// Hard cap on the caller's yield budget — beyond this a park is cheaper
-/// than the burned CPU, whatever the EWMA claims.
-pub const CALLER_YIELD_MAX: u64 = 64;
-
-/// The caller's yield budget for an expected service time of
-/// `ewma_ticks` µs: `BASE + PER_TICK * ewma`, capped at
-/// [`CALLER_YIELD_MAX`].
-pub fn caller_yield_budget(ewma_ticks: u64) -> u64 {
-    CALLER_YIELD_BASE
-        .saturating_add(CALLER_YIELD_PER_EWMA_TICK.saturating_mul(ewma_ticks))
-        .min(CALLER_YIELD_MAX)
-}
-
-/// Yield-poll budget of a manager in *poll mode* (turned on by every
-/// drain that found at least one call): the manager polls the intake
-/// ring this many yields before it turns poll mode off and parks.
-pub const MGR_POLL_BUDGET: u32 = 64;
-
-/// Pure-spin rounds of an idle (non-polling) manager inside
-/// [`Notifier::wait_past_spin`](crate::Notifier::wait_past_spin) before
-/// it registers as a waiter and parks.
-pub const MGR_IDLE_SPIN_ROUNDS: u32 = 6;
-
-/// Pure-spin rounds of a per-slot pool worker between finishing a job
-/// and parking — catches a back-to-back restart of the same slot without
-/// a park/unpark round trip.
-pub const POOL_SLOT_SPIN_ROUNDS: u32 = 4;
-
-/// Pure-spin rounds of an idle work-stealing executor worker checking
-/// its deque, the injector, and steal victims before it registers idle
-/// and parks on its parker. Matches [`MGR_IDLE_SPIN_ROUNDS`]: both are
-/// "nothing locally, maybe a producer is mid-publish" waits.
-pub const WORKER_IDLE_SPIN_ROUNDS: u32 = 6;
+/// Yields a waiter with liveness evidence spends before it parks: a
+/// caller while its object's manager is awake (`mgr_active`), and a
+/// manager in *poll mode* (turned on by every drain that found at least
+/// one call) polling its intake ring.
+pub const YIELD_BUDGET: u32 = 64;
 
 /// Default preemption budget for
 /// [`SchedPolicy::PreemptionBounded`](crate::SchedPolicy) when selected
@@ -90,18 +52,3 @@ pub const TARGETED_GATE_ONE_IN: u64 = 2;
 /// to push a rival's whole protocol step inside the window, short
 /// enough not to trip deadline/timeout scenarios spuriously.
 pub const PREEMPT_DELAY_LOG2_SPREAD: u64 = 7;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn caller_budget_scales_and_caps() {
-        assert_eq!(caller_yield_budget(0), CALLER_YIELD_BASE);
-        assert_eq!(
-            caller_yield_budget(10),
-            CALLER_YIELD_BASE + 10 * CALLER_YIELD_PER_EWMA_TICK
-        );
-        assert_eq!(caller_yield_budget(u64::MAX), CALLER_YIELD_MAX);
-    }
-}
